@@ -6,10 +6,10 @@ timings of the Table 2 configurations and the micro components in a
 before/after-comparable schema, so future PRs can diff their scheduling
 CPU time against the committed baseline.
 
-Schema (``repro-bench/v6``)::
+Schema (``repro-bench/v7``)::
 
     {
-      "schema": "repro-bench/v6",
+      "schema": "repro-bench/v7",
       "table2": {"<config>": {"<scheduler>": seconds_per_benchmark}},
       "micro":  {"<component>": best_seconds},
       "parallel": {"suite": "extended", "loops": N, "scheduler": "gp",
@@ -31,12 +31,7 @@ Schema (``repro-bench/v6``)::
       "ii_search": {"<config>": {"<scheduler>":
                                  {"suite": "paper|extended",
                                   "attempts": N,
-                                  "per_ii_attempts": {"<ii>": N},
-                                  "warm_start": {"seeded": N, "hits": N,
-                                                 "hit_rate": r}}}},
-      "wire": {"endpoint": "unix", "rounds": N,
-               "ping_seconds": s, "cached_evaluate_seconds": s,
-               "counters": {"calls": N, "attempts": N, "retries": 0, ...}},
+                                  "per_ii_attempts": {"<ii>": N}}}},
       "meta":   {"rounds": N, "ab_rounds": {"gp": N, "uracam": N},
                  "suite_benchmarks": M}
     }
@@ -71,9 +66,9 @@ v5 additions on top:
 
 * ``micro`` gains an interleaved A/B of the flat-array hot-path
   kernels: ``gp_schedule_loop`` / ``uracam_schedule_loop`` run with the
-  default engine options (array kernels + warm start) while the
-  ``*_reference`` twins force the pure dict/list reference path
-  (``EngineOptions(array_kernels=False, ii_warm_start=False)``).  Both
+  default engine options (array kernels on) while the ``*_reference``
+  twins force the pure dict/list reference path
+  (``EngineOptions(array_kernels=False)``).  Both
   time the *engine attempt stage* only — the scheduler's partition and
   policy are prepared once outside the timed region (they are identical
   code in both legs; on medium loops the partitioner is ~75% of an
@@ -82,23 +77,14 @@ v5 additions on top:
   workload's scheduling quirks dominate.  The legs alternate within
   every round so machine drift hits both equally; the recorded value is
   mean seconds per engine attempt.
-* ``ii_search`` records the II-search telemetry (attempt counts, the
-  per-II attempt histogram, warm-start seeding/hit rates).  Warm-start
-  counters are zero under the stock strictly-escalating II search —
-  cross-II seeding is disabled for soundness — and the baseline records
-  that honestly.
+* ``ii_search`` records the II-search telemetry (attempt counts and the
+  per-II attempt histogram).
 * ``parallel.skipped`` flags a single-CPU host where the pooled timing
   leg was skipped (it would measure contention, not speedup).
 
-v6 adds ``wire``: the daemon transport tax, measured against an
-in-thread daemon on a throwaway unix socket.  ``ping_seconds`` is the
-best round trip of the control plane; ``cached_evaluate_seconds`` is
-the best round trip of a memo-hit evaluation (codec encode/decode plus
-the socket, no scheduling) — the floor a warm ``--daemon`` run pays per
-request over a local in-process call.  ``counters`` are the measuring
-client's session wire counters, recorded to prove the timing ran on a
-clean wire (``retries`` and ``degraded_calls`` must be zero here; a
-baseline taken through a flaky transport would be meaningless).
+v7 drops v6's ``wire`` block (the daemon transport it timed is gone)
+and the ``warm_start`` counters from ``ii_search`` (the II-search warm
+start is gone).
 """
 
 from __future__ import annotations
@@ -144,7 +130,7 @@ _LARGE_SHAPE = LoopShape(
 _MICRO_ROUNDS = 3
 
 #: Forces the pure dict/list reference hot path for the A/B micros.
-_REFERENCE_OPTIONS = EngineOptions(array_kernels=False, ii_warm_start=False)
+_REFERENCE_OPTIONS = EngineOptions(array_kernels=False)
 
 #: (shape, seed, interleaved rounds) baskets for the engine-stage A/B.
 #: Seeds are deliberately diverse — per-seed deltas range from slightly
@@ -223,67 +209,6 @@ def _engine_ab(scheduler_cls, machine, basket):
                     total_b += elapsed
         total_rounds += rounds
     return total_a / total_rounds, total_b / total_rounds
-
-
-def _wire_micro(rounds=10):
-    """Round-trip tax of the daemon wire, on a healthy unix socket.
-
-    Runs an in-thread :class:`ReproDaemon` (jobs=1 — the measurement is
-    the transport, not the pool), warms its memo with one evaluation,
-    then times best-of-``rounds`` ping and cached-evaluate round trips.
-    """
-    import shutil
-    import tempfile
-    import threading
-
-    from repro.service import (
-        EvaluationRequest,
-        ReproDaemon,
-        ServiceClient,
-        WireRetryPolicy,
-    )
-    from repro.service.daemon import wait_for_daemon
-    from repro.workloads.spec import Benchmark
-
-    loop = generate_loop("bench_wire", _MEDIUM_SHAPE, seed=5)
-    request = EvaluationRequest(
-        scheduler="gp",
-        machine="2x32",
-        suite=(Benchmark(name="wire", loops=(loop,)),),
-    )
-    directory = tempfile.mkdtemp(prefix="repro-bench-wire-")
-    endpoint = os.path.join(directory, "d.sock")
-    server = ReproDaemon(endpoint=endpoint, jobs=1, idle_timeout=120)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        wait_for_daemon(endpoint, timeout=30)
-        with ServiceClient(
-            endpoint=endpoint, autospawn=False, retry=WireRetryPolicy.none()
-        ) as client:
-            client.evaluate(request)  # warm the daemon memo
-            ping_best = evaluate_best = float("inf")
-            for _round in range(rounds):
-                started = time.perf_counter()
-                client.ping()
-                ping_best = min(ping_best, time.perf_counter() - started)
-                started = time.perf_counter()
-                client.evaluate(request)
-                evaluate_best = min(
-                    evaluate_best, time.perf_counter() - started
-                )
-            counters = client.wire.to_dict()
-    finally:
-        server._stopping = True
-        thread.join(timeout=15)
-        shutil.rmtree(directory, ignore_errors=True)
-    return {
-        "endpoint": "unix",
-        "rounds": rounds,
-        "ping_seconds": ping_best,
-        "cached_evaluate_seconds": evaluate_best,
-        "counters": counters,
-    }
 
 
 @pytest.mark.bench
@@ -405,7 +330,7 @@ def test_emit_bench_schedule_json(suite, big_suite, extended_parallel_timings):
     }
 
     payload = {
-        "schema": "repro-bench/v6",
+        "schema": "repro-bench/v7",
         "table2": {
             config: dict(result.seconds[config]) for config in result.configs
         },
@@ -442,7 +367,6 @@ def test_emit_bench_schedule_json(suite, big_suite, extended_parallel_timings):
         },
         "feasibility_cache": feasibility,
         "ii_search": ii_search,
-        "wire": _wire_micro(),
         "meta": {
             "rounds": _MICRO_ROUNDS,
             "ab_rounds": {

@@ -20,10 +20,6 @@ Commands:
   ``--json`` writes the timings to a file for CI artifacts.
 * ``workloads`` — describe the synthetic suite's loop shapes.
 * ``machines`` — list the built-in machine configurations.
-* ``serve`` — run the persistent scheduling daemon: one warm worker
-  pool answering serialized requests over a unix socket (JSON lines),
-  shutting itself down after an idle timeout; ``serve --stop`` stops a
-  running daemon.
 * ``cache`` — inspect a content-addressed result store
   (``stats`` / ``verify`` / ``clear``).
 
@@ -32,10 +28,7 @@ content-addressed result store (``memory``, ``disk``, ``disk:PATH`` or
 a bare path): identical requests across invocations are replayed from
 the store byte-identically instead of re-scheduled, and a cache
 counters line goes to stderr so pipelines can assert replay rates
-without disturbing stdout.  ``--daemon`` routes the run through the
-``repro serve`` daemon (auto-spawned on first use; ``--socket PATH``
-picks the endpoint), so repeated CLI invocations share one warm pool
-and one response cache.
+without disturbing stdout.
 
 ``evaluate`` and ``bench`` take ``--suite paper|extended`` to pick the
 workload tier (the paper's 40 loops vs. the 220-loop production-scale
@@ -69,8 +62,6 @@ Examples::
     python -m repro workloads --program swim
     python -m repro machines
     python -m repro evaluate --store disk:~/.cache/repro/store
-    python -m repro evaluate --daemon
-    python -m repro serve --jobs 0 --store disk
     python -m repro cache stats --store disk
 """
 
@@ -78,15 +69,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
 from .errors import ReproError
 from .ir.serialize import load as load_loop
 from .ir.stats import describe
-from .machine.config import MachineConfig
 from .machine.presets import table1_configurations
-from .machine.spec import parse_machine_spec
 from .schedule.expand import render_kernel
 from .service import (
     MACHINES,
@@ -104,23 +92,6 @@ from .workloads.spec import (
     make_extended_benchmark,
     suite_for_tier,
 )
-
-
-def parse_machine(spec: str) -> MachineConfig:
-    """Deprecated: use :func:`repro.machine.parse_machine_spec`.
-
-    Thin shim over the canonical parser (which also backs the service
-    façade's :data:`~repro.service.MACHINES` registry); kept so old
-    scripts keep running, with a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "repro.cli.parse_machine() is deprecated; use "
-        "repro.machine.parse_machine_spec() or the "
-        "repro.service.MACHINES registry",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return parse_machine_spec(spec)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -172,103 +143,40 @@ def _pick_suite(args: argparse.Namespace):
     return suite[: args.programs] if args.programs else suite
 
 
-def _fault_tolerance_kwargs(args: argparse.Namespace) -> dict:
-    """``ReproService`` fault-tolerance arguments from suite options.
+def _service_for(args: argparse.Namespace) -> ReproService:
+    """The in-process session one suite command runs on.
 
     The CLI always runs with the production retry posture (transients
     are retried, the pool self-heals, degradation beats aborting) —
     with no faults this changes nothing observable, since retries only
     engage on worker death, hangs, or deadline misses.
     """
-    policy = RetryPolicy(
-        max_attempts=args.max_attempts,
-        deadline=args.deadline,
-    )
-    faults = FaultPlan.load(args.fault_plan) if args.fault_plan else None
-    return {
-        "policy": policy,
-        "faults": faults,
-        "keep_going": getattr(args, "keep_going", False),
-    }
-
-
-def _service_for(args: argparse.Namespace):
-    """The session for one CLI run: local, or the daemon client.
-
-    ``--daemon`` swaps the in-process :class:`ReproService` for a
-    :class:`~repro.service.client.ServiceClient` — same surface, so the
-    figure/table code downstream does not care.  The execution knobs
-    (``--jobs``, ``--chunksize``, ``--mp-context``, ``--store``) then
-    configure the daemon *if this run spawns it*; an already-running
-    daemon keeps its own settings.
-    """
-    if getattr(args, "daemon", False):
-        from .errors import DaemonError
-        from .service import ServiceClient
-
-        if args.fault_plan:
-            raise DaemonError(
-                "--fault-plan injects faults into an in-process session; "
-                "drop --daemon to use it"
-            )
-        from .service import WireFaultPlan, WireRetryPolicy
-
-        chaos = (
-            WireFaultPlan.load(args.wire_fault_plan)
-            if getattr(args, "wire_fault_plan", None)
-            else None
-        )
-        return ServiceClient(
-            endpoint=args.socket,
-            keep_going=getattr(args, "keep_going", False),
-            jobs=args.jobs,
-            chunksize=args.chunksize,
-            mp_context=args.mp_context,
-            store=args.store,
-            retry=WireRetryPolicy(max_attempts=args.wire_retries),
-            call_deadline=getattr(args, "call_deadline", None),
-            chaos=chaos,
-        )
     return ReproService(
         jobs=args.jobs,
         chunksize=args.chunksize,
         mp_context=args.mp_context,
         store=args.store,
-        **_fault_tolerance_kwargs(args),
+        policy=RetryPolicy(
+            max_attempts=args.max_attempts, deadline=args.deadline
+        ),
+        faults=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
+        keep_going=getattr(args, "keep_going", False),
     )
 
 
-def _cache_stats_line(service) -> str:
+def _cache_stats_line(service: ReproService) -> str:
     """The stderr cache/store counters line (stdout stays byte-clean).
 
     Session-level ``cache:`` counters first (a warm replay shows
-    ``misses=0``), then the store's own counters when one is attached —
-    locally from the store object, in daemon mode from the server's
-    ``stats`` op.
+    ``misses=0``), then the attached store's own counters.
     """
     parts = [f"cache: hits={service.cache_hits} misses={service.cache_misses}"]
-    store = getattr(service, "store", None)
-    if store is not None:
-        stats = store.stats()
-    elif hasattr(service, "stats") and not getattr(service, "degraded", False):
-        try:
-            stats = service.stats().get("store")
-        except ReproError:
-            # The daemon died after serving us (or the wire is still
-            # faulty): the counters line is telemetry, never a failure.
-            stats = None
-    else:
-        stats = None
-    if stats:
+    if service.store is not None:
         parts.append(
             "store: backend={backend} entries={entries} bytes={bytes} "
-            "hits={hits} misses={misses} evictions={evictions}".format(**stats)
-        )
-    wire = getattr(service, "wire", None)
-    if wire is not None:
-        parts.append(
-            f"wire: attempts={wire.attempts} retries={wire.retries} "
-            f"reconnects={wire.reconnects} degraded={wire.degraded_calls}"
+            "hits={hits} misses={misses} evictions={evictions}".format(
+                **service.store.stats()
+            )
         )
     return "  ".join(parts)
 
@@ -276,10 +184,10 @@ def _cache_stats_line(service) -> str:
 def _suite_engine_options(args: argparse.Namespace):
     """EngineOptions for a suite command, or None when all-defaults.
 
-    Folds ``--verify`` (evaluate only) and the ``--no-array-kernels`` /
-    ``--no-warm-start`` A/B knobs into one explicit options object —
-    requests reject ``verify`` and ``options`` together, so the paranoid
-    flags must ride in the same EngineOptions as the kernel toggles.
+    Folds ``--verify`` (evaluate only) and the ``--no-array-kernels``
+    A/B knob into one explicit options object — requests reject
+    ``verify`` and ``options`` together, so the paranoid flags must ride
+    in the same EngineOptions as the kernel toggle.
     Returns None when nothing deviates from the defaults, keeping
     default invocations' request fingerprints (and store keys) stable.
     """
@@ -287,14 +195,12 @@ def _suite_engine_options(args: argparse.Namespace):
 
     verify = getattr(args, "verify", False)
     array_kernels = getattr(args, "array_kernels", True)
-    warm_start = getattr(args, "ii_warm_start", True)
-    if not verify and array_kernels and warm_start:
+    if not verify and array_kernels:
         return None
     return EngineOptions(
         verify_pressure=verify,
         validate_schedules=verify,
         array_kernels=array_kernels,
-        ii_warm_start=warm_start,
     )
 
 
@@ -318,9 +224,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 args.clusters, args.registers, suite=suite, options=options,
                 validate_each=args.validate_each, service=service,
             )
-        stats_line = (
-            _cache_stats_line(service) if (args.store or args.daemon) else None
-        )
+        stats_line = _cache_stats_line(service) if args.store else None
     if args.format == "csv":
         print(figure_to_csv(panel), end="")
     elif args.format == "json":
@@ -427,9 +331,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         else:
             result = table2(suite, [machine], service=service, options=options)
             wall_seconds = _time.perf_counter() - started
-        stats_line = (
-            _cache_stats_line(service) if (args.store or args.daemon) else None
-        )
+        stats_line = _cache_stats_line(service) if args.store else None
     print(result.render())
     config = result.configs[0]
     per = result.seconds[config]
@@ -443,7 +345,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"suite wall clock: {wall_seconds:.2f}s (jobs={jobs})")
     if args.json:
         payload = {
-            "schema": "repro-bench-cli/v5",
+            "schema": "repro-bench-cli/v6",
             "machine": config,
             "suite": args.suite,
             "benchmarks": len(suite),
@@ -453,20 +355,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "oversubscribed": oversubscribed,
             "engine_options": {
                 "array_kernels": getattr(args, "array_kernels", True),
-                "ii_warm_start": getattr(args, "ii_warm_start", True),
             },
             "cpu_seconds_per_benchmark": dict(per),
             "wall_seconds": wall_seconds,
             # What the fault-tolerance layer had to do during the run
             # (all zeros on a healthy host: no retries, no rebuilds).
             "fault_tolerance": service.telemetry.to_dict(),
-            # Transport counters when the run went over the daemon wire
-            # (retries/reconnects/degradations); null on local runs.
-            "wire": (
-                service.wire_stats()
-                if hasattr(service, "wire_stats")
-                else None
-            ),
         }
         if profile_block is not None:
             payload["profile"] = profile_block
@@ -476,136 +370,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {args.json}")
     if stats_line:
         print(stats_line, file=sys.stderr)
-    return 0
-
-
-def _cmd_serve_status(args: argparse.Namespace) -> int:
-    """``repro serve --status``: render the daemon's health, with exit
-    codes pipelines can branch on (0 running, 4 draining, 3 absent)."""
-    from .errors import DaemonError
-    from .service import ServiceClient, WireRetryPolicy
-
-    client = ServiceClient(
-        endpoint=args.socket, autospawn=False, retry=WireRetryPolicy.none()
-    )
-    try:
-        stats = client.stats()
-    except DaemonError:
-        print("no daemon running", file=sys.stderr)
-        return 3
-    finally:
-        client.close()
-    server = stats["server"]
-    draining = bool(server.get("draining"))
-    print(f"state:       {'draining' if draining else 'running'}")
-    print(f"pid:         {server.get('pid')}")
-    print(f"endpoint:    {server.get('endpoint')}")
-    print(f"version:     {server.get('version')} ({server.get('schema')})")
-    print(f"uptime:      {server.get('uptime_seconds', 0.0):.1f}s")
-    print(f"jobs:        {server.get('jobs')}")
-    print(
-        f"connections: {server.get('active_connections')} active "
-        f"(max {server.get('max_clients')}), "
-        f"{server.get('in_flight')} request(s) in flight"
-    )
-    wire = stats.get("wire") or {}
-    if wire:
-        print(
-            "wire:        "
-            f"connections={wire.get('connections')} "
-            f"busy_rejected={wire.get('busy_rejected')} "
-            f"coalesced={wire.get('coalesced')} "
-            f"read_timeouts={wire.get('read_timeouts')} "
-            f"deadline_misses={wire.get('deadline_misses')} "
-            f"requests={wire.get('requests_served')}"
-        )
-    cache = stats.get("cache") or {}
-    print(
-        f"cache:       hits={cache.get('hits')} misses={cache.get('misses')}"
-    )
-    store = stats.get("store")
-    if store:
-        print(
-            "store:       backend={backend} entries={entries} bytes={bytes} "
-            "hits={hits} misses={misses} evictions={evictions} "
-            "write_errors={write_errors} quarantined={quarantined}".format(
-                **store
-            )
-        )
-    return 4 if draining else 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
-    from .errors import DaemonError
-    from .service.daemon import DEFAULT_IDLE_TIMEOUT, ReproDaemon, parse_endpoint
-
-    if args.status:
-        return _cmd_serve_status(args)
-    if args.stop:
-        from .service import WireRetryPolicy
-        from .service.client import ServiceClient
-
-        client = ServiceClient(
-            endpoint=args.socket, autospawn=False, retry=WireRetryPolicy.none()
-        )
-        try:
-            client.connect()
-        except DaemonError:
-            print("no daemon running", file=sys.stderr)
-            return 0
-        pid = client.server.get("pid")
-        already_draining = bool(client.server.get("draining"))
-        client.shutdown_server()
-        if already_draining:
-            print(f"daemon already draining (pid {pid})", file=sys.stderr)
-        else:
-            print(f"daemon stopped (pid {pid})", file=sys.stderr)
-        return 0
-    idle_timeout = args.idle_timeout
-    if idle_timeout is None:
-        idle_timeout = DEFAULT_IDLE_TIMEOUT
-    elif idle_timeout <= 0:
-        idle_timeout = None  # 0 = serve until stopped
-    store = args.store
-    if args.store_fsync and store is not None:
-        from .service.store import open_store
-
-        store = open_store(store, fsync=True)
-    chaos = None
-    if args.wire_fault_plan:
-        from .service import WireFaultPlan
-
-        chaos = WireFaultPlan.load(args.wire_fault_plan)
-    daemon = ReproDaemon(
-        endpoint=args.socket,
-        jobs=args.jobs,
-        chunksize=args.chunksize,
-        mp_context=args.mp_context,
-        store=store,
-        idle_timeout=idle_timeout,
-        policy=RetryPolicy(
-            max_attempts=args.max_attempts, deadline=args.deadline
-        ),
-        max_clients=args.max_clients,
-        drain_timeout=args.drain_timeout,
-        io_timeout=args.io_timeout if args.io_timeout > 0 else None,
-        chaos=chaos,
-        # A real daemon process may honour an injected crash fault; an
-        # in-thread daemon (tests) never does.
-        allow_crash=chaos is not None,
-    )
-    family, address = parse_endpoint(args.socket)
-    endpoint = address if family == "unix" else f"tcp:{address[0]}:{address[1]}"
-    timeout_note = "none" if idle_timeout is None else f"{idle_timeout:g}s"
-    print(
-        f"repro daemon serving on {endpoint} "
-        f"(pid {os.getpid()}, idle timeout {timeout_note}, "
-        f"max {args.max_clients} clients)",
-        file=sys.stderr,
-    )
-    daemon.serve_forever()
     return 0
 
 
@@ -732,40 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "'disk' (the default cache root), 'disk:PATH' or "
                        "a bare path; identical requests replay from the "
                        "store byte-identically across invocations")
-        p.add_argument("--daemon", action="store_true",
-                       help="run through the persistent 'repro serve' "
-                       "daemon (auto-spawned on first use), sharing one "
-                       "warm worker pool and response cache across "
-                       "invocations")
-        p.add_argument("--socket", default=None, metavar="ENDPOINT",
-                       help="daemon endpoint: a unix socket path or "
-                       "tcp:PORT (default: the per-user socket, "
-                       "$REPRO_DAEMON_SOCKET)")
-        p.add_argument("--wire-retries", type=int, default=3,
-                       metavar="N",
-                       help="with --daemon: attempts per wire operation "
-                       "before degrading to in-process execution "
-                       "(retried faults are safe — every op is "
-                       "idempotent by content fingerprint)")
-        p.add_argument("--call-deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="with --daemon: per-request deadline carried "
-                       "on the wire; the daemon answers a structured "
-                       "timeout instead of a late result")
-        p.add_argument("--wire-fault-plan", default=None, metavar="PATH",
-                       help="with --daemon (testing/CI only): JSON "
-                       "wire-fault plan injected at this client's end "
-                       "(refused connects, dropped/garbled replies, "
-                       "stalls) to exercise the wire retry layer")
         p.add_argument("--no-array-kernels", dest="array_kernels",
                        action="store_false",
                        help="force the pure dict/list reference hot path "
                        "instead of the flat-array kernels (results are "
                        "bit-identical under either; A/B smoke knob)")
-        p.add_argument("--no-warm-start", dest="ii_warm_start",
-                       action="store_false",
-                       help="disable II-search warm-start seeding "
-                       "(results are bit-identical under either)")
 
     p_eval = sub.add_parser("evaluate", help="run a figure panel")
     p_eval.add_argument("--clusters", type=int, default=2, choices=(2, 4))
@@ -804,66 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "entries to stderr and adds a 'profile' block "
                          "to --json")
     p_bench.set_defaults(func=_cmd_bench)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the persistent scheduling daemon (one warm pool, "
-        "JSON-lines over a unix socket)",
-    )
-    p_serve.add_argument("--socket", default=None, metavar="ENDPOINT",
-                         help="endpoint to serve on: a unix socket path "
-                         "or tcp:PORT (default: the per-user socket)")
-    p_serve.add_argument("--jobs", type=int, default=0,
-                         help="worker processes (default 0 = one per "
-                         "CPU; the daemon exists to keep a pool warm)")
-    p_serve.add_argument("--chunksize", type=int, default=None,
-                         help="loops batched per worker task")
-    p_serve.add_argument("--mp-context", default=None,
-                         choices=("spawn", "forkserver"),
-                         help="worker start method")
-    p_serve.add_argument("--store", default=None, metavar="SPEC",
-                         help="attach a persistent result store "
-                         "('memory', 'disk', 'disk:PATH' or a path)")
-    p_serve.add_argument("--idle-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="exit after this long without a "
-                         "connection (default 300; 0 = serve forever)")
-    p_serve.add_argument("--max-attempts", type=int, default=3,
-                         help="executions allowed per work chunk before "
-                         "a transient fault gives up")
-    p_serve.add_argument("--deadline", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-chunk wall-clock deadline")
-    p_serve.add_argument("--max-clients", type=int, default=8,
-                         metavar="N",
-                         help="concurrent connections served before "
-                         "excess connects get a structured busy reply "
-                         "(default 8)")
-    p_serve.add_argument("--drain-timeout", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="on shutdown/SIGTERM: how long to wait "
-                         "for in-flight requests before closing "
-                         "(default 30)")
-    p_serve.add_argument("--io-timeout", type=float, default=300.0,
-                         metavar="SECONDS",
-                         help="per-connection socket read/write timeout "
-                         "(default 300; 0 = none)")
-    p_serve.add_argument("--store-fsync", action="store_true",
-                         help="fsync store writes (crash-durable puts "
-                         "at the cost of two fsyncs per entry)")
-    p_serve.add_argument("--wire-fault-plan", default=None, metavar="PATH",
-                         help="testing/CI only: JSON wire-fault plan "
-                         "injected at the daemon end (dropped/garbled "
-                         "replies, stalls, accept-then-close, a planned "
-                         "crash mid-request)")
-    p_serve.add_argument("--stop", action="store_true",
-                         help="ask the running daemon to drain and shut "
-                         "down instead of serving")
-    p_serve.add_argument("--status", action="store_true",
-                         help="report a running daemon's health (exit "
-                         "0 running, 4 draining, 3 absent) instead of "
-                         "serving")
-    p_serve.set_defaults(func=_cmd_serve)
 
     p_cache = sub.add_parser(
         "cache",

@@ -47,45 +47,6 @@ class StoreError(ReproError):
     """A result store was misconfigured (bad path, non-positive budget)."""
 
 
-class DaemonError(ReproError):
-    """The scheduling daemon could not be reached, spawned, or spoken to.
-
-    Covers connection failures after auto-spawn retries, protocol
-    violations, and errors the daemon reported for an operation (the
-    original error type name is preserved in the message).
-    """
-
-
-class DaemonBusyError(DaemonError):
-    """The daemon refused a connection: its ``max_clients`` bound is full.
-
-    A structured backpressure signal, not a crash — the daemon answers
-    the excess connect with a ``busy`` reply instead of queuing blind.
-    Classified *transient* by the client's wire retry policy: back off
-    and try again (a slot frees when an earlier client finishes).
-    """
-
-
-class DaemonDrainingError(DaemonError):
-    """The daemon is draining: it refuses new work but finishes in-flight
-    requests before closing (SIGTERM, ``serve --stop``, or an idle
-    timeout that fired mid-request).  Classified *transient*: a retry may
-    reach a respawned daemon, or the client degrades to in-process
-    execution."""
-
-
-class WireTimeoutError(DaemonError):
-    """A socket read/write on the daemon wire exceeded its timeout, or a
-    per-request deadline expired before the daemon could answer.
-
-    Both ends use it: the daemon replies with this type when a
-    connection stalls past its io timeout or a request arrives with an
-    already-expired deadline; the client raises it when an exchange
-    exceeds its call timeout.  Classified *transient* — every operation
-    is idempotent by content fingerprint, so retrying is always safe.
-    """
-
-
 class DeadlineExceededError(ReproError):
     """A dispatched work chunk missed its per-chunk deadline.
 

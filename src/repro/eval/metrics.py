@@ -112,15 +112,10 @@ def ii_search_stats(outcomes: Iterable) -> Dict[str, object]:
 
     ``attempts`` counts every engine attempt across all II searches;
     ``per_ii_attempts`` histograms them by the II tried (JSON-friendly
-    string keys).  The ``warm_start`` block reports pruned slots adopted
-    from a previous same-II attempt (``seeded``) and window slots skipped
-    because of an adopted prune (``hits``) — both stay zero under the
-    stock strictly-escalating II search, which is the honest signal that
-    cross-II seeding is disabled for soundness.
+    string keys).
     """
     attempts = 0
     per_ii: Dict[str, int] = {}
-    seeded = hits = 0
     for outcome in outcomes:
         if not outcome.is_modulo:
             continue
@@ -129,14 +124,7 @@ def ii_search_stats(outcomes: Iterable) -> Dict[str, object]:
         for ii in stats.ii_trace:
             key = str(ii)
             per_ii[key] = per_ii.get(key, 0) + 1
-        seeded += stats.warm_start_seeded
-        hits += stats.warm_start_hits
     return {
         "attempts": attempts,
         "per_ii_attempts": dict(sorted(per_ii.items(), key=lambda kv: int(kv[0]))),
-        "warm_start": {
-            "seeded": seeded,
-            "hits": hits,
-            "hit_rate": hits / seeded if seeded else 0.0,
-        },
     }

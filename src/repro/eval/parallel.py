@@ -252,9 +252,9 @@ class EvaluationPool:
         """Pre-spawn the worker processes; returns the live worker count.
 
         Normally workers spawn lazily on first submit, which puts the
-        interpreter/import cost inside the first request's latency.  The
-        daemon calls this at startup (and after a rebuild) so the first
-        client request lands on an already-warm pool.  Each probe task
+        interpreter/import cost inside the first request's latency.  A
+        session calls this before timed or latency-sensitive work so the
+        first request lands on an already-warm pool.  Each probe task
         sleeps briefly so concurrent probes force distinct workers up.
         """
         executor = self.executor()

@@ -2,42 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..machine.config import MachineConfig
 from ..schedule.drivers import BaseScheduler, ScheduleOutcome
-from ..schedule.engine import EngineOptions
 from ..workloads.spec import Benchmark
 from .metrics import aggregate_ipc
-
-
-def make_scheduler(
-    name: str,
-    machine: MachineConfig,
-    options: Optional[EngineOptions] = None,
-    **kwargs,
-) -> BaseScheduler:
-    """Deprecated: resolve schedulers through the service registry.
-
-    Thin shim over
-    :meth:`repro.service.registry.SchedulerRegistry.create` — use
-    ``repro.service.SCHEDULERS.create(name, machine, ...)`` (or a
-    :class:`~repro.service.session.ReproService` session) instead.
-    Unknown names raise the registry's structured
-    :class:`~repro.service.registry.RegistryError`, which remains a
-    ``KeyError`` for legacy callers.
-    """
-    warnings.warn(
-        "make_scheduler() is deprecated; use "
-        "repro.service.SCHEDULERS.create() or a ReproService session",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..service.registry import SCHEDULERS
-
-    return SCHEDULERS.create(name, machine, options=options, **kwargs)
 
 
 @dataclass

@@ -19,7 +19,6 @@ from .engine import (
     ClusterPolicy,
     EngineOptions,
     FixedClusterPolicy,
-    IISearchState,
     SchedulingEngine,
 )
 from .lifetimes import LiveSegment, max_live, pressure_by_cycle, register_cycles
@@ -51,7 +50,6 @@ __all__ = [
     "FixedPartitionScheduler",
     "FUSlot",
     "GPScheduler",
-    "IISearchState",
     "ListSchedule",
     "LiveSegment",
     "MeritVector",

@@ -6,17 +6,19 @@ extended-tier run.  The reference implementations keep that state in
 tuple-keyed dicts (``(cluster, OpClass) -> row``, ``(bus, cycle) -> busy``)
 and per-cluster list rings, so every probe pays a tuple allocation plus an
 ``Enum.__hash__`` call (a Python-level function).  This module re-lays the
-same state as **flat integer arrays** indexed by plain integer arithmetic:
+same state as **flat integer lists** indexed by plain integer arithmetic
+(plain lists beat ``array('q')`` in CPython: element reads hand back
+already-boxed small ints):
 
-* :class:`ArrayReservationTable` — FU occupancy as one flat buffer of
+* :class:`ArrayReservationTable` — FU occupancy as one flat list of
   ``clusters × classes × II`` counts (row base =
   ``(cluster * len(OpClass) + op_class.index) * II``), the bus ledger as a
   ``bytearray`` of ``buses × II`` flags, and the per-class running totals
-  as one flat counter buffer.  :class:`~repro.schedule.mrt.Overlay` keys
+  as one flat counter list.  :class:`~repro.schedule.mrt.Overlay` keys
   become the same flat indexes (the table owns key construction via
   ``_fu_key``/``_bus_key``), so candidate staging stops hashing enums too.
 * :class:`ArrayScheduleAnalysis` — the per-cluster pressure rings as one
-  flat buffer (ring base = ``cluster * II``); candidate previews copy one
+  flat list (ring base = ``cluster * II``); candidate previews copy one
   II-sized slice per touched cluster.
 
 **Reference-truth contract.** The dict/list implementations in
@@ -30,79 +32,16 @@ produce.  ``EngineOptions.array_kernels`` selects the layout per engine
 (default on; ``False`` forces the pure dict/list path), and the A/B
 property tests in ``tests/test_arraykernels.py`` assert bit-identical
 schedules either way.
-
-The buffer *element type* is pluggable via ``REPRO_ARRAY_BACKEND``:
-
-* ``list`` (default) — a flat Python list of ints.  Fastest in CPython:
-  element reads hand back already-boxed small ints, where ``array('q')``
-  and numpy box a fresh object per read, which measurably loses on the
-  II-sized rows these kernels touch.
-* ``array`` — stdlib ``array('q')``; compact (8 bytes/slot, no pointer
-  per element), a little slower per access.
-* ``numpy`` — ``numpy.int64`` buffers, when numpy is importable; slices
-  are *views*, so previews must ``.copy()``.
-
-All three share the same flat indexing, so the choice is invisible above
-this module.  All values leaving it are plain Python ints (``peaks()``,
-occupancy rows), so no array scalar can leak into exported artifacts.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.opcodes import OpClass
 from ..machine.config import MachineConfig
 from .analysis_core import ScheduleAnalysis
 from .mrt import BusSlot, FUSlot, ReservationTable
-
-try:  # pragma: no cover - environment probe
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
-#: Active buffer backend: flat Python lists unless overridden (see the
-#: module docstring).  An unknown or unavailable override falls back to
-#: the default rather than failing.
-_requested = os.environ.get("REPRO_ARRAY_BACKEND", "list")
-if _requested == "numpy" and _np is None:  # pragma: no cover - env gate
-    _requested = "list"
-BACKEND = _requested if _requested in ("list", "array", "numpy") else "list"
-del _requested
-
-
-if BACKEND == "numpy":  # pragma: no cover - opt-in backend
-
-    def zeros(n: int):
-        return _np.zeros(n, dtype=_np.int64)
-
-    def to_list(buf, start: int, stop: int) -> List[int]:
-        # Materialize to plain ints: numpy slices are views, and np.int64
-        # scalars must never reach exports or preview arithmetic.
-        return buf[start:stop].tolist()
-
-elif BACKEND == "array":  # pragma: no cover - opt-in backend
-
-    def zeros(n: int):
-        return array("q", bytes(8 * n))
-
-    def to_list(buf, start: int, stop: int) -> List[int]:
-        return list(buf[start:stop])
-
-else:
-
-    def zeros(n: int):
-        return [0] * n
-
-    def to_list(buf, start: int, stop: int) -> List[int]:
-        return buf[start:stop]
-
-
-#: Private plain-list copy of ``buf[start:stop]`` — previews mutate and
-#: ``max()`` it, so every backend hands back a fresh list of Python ints.
-copy_row = to_list
 
 
 def add_segment_flat(buf, base: int, birth: int, length: int, ii: int, sign: int) -> None:
@@ -150,12 +89,12 @@ class ArrayReservationTable(ReservationTable):
         super().__init__(machine, ii)
         self._n_classes = len(OpClass)
         self._num_clusters = machine.num_clusters
-        cap = zeros(self._num_clusters * self._n_classes)
+        cap = [0] * (self._num_clusters * self._n_classes)
         for (cluster, op_class), capacity in self._capacity.items():
             cap[cluster * self._n_classes + op_class.index] = capacity
         self._cap_flat = cap
-        self._fu_flat = zeros(self._num_clusters * self._n_classes * ii)
-        self._class_used_flat = zeros(self._num_clusters * self._n_classes)
+        self._fu_flat = [0] * (self._num_clusters * self._n_classes * ii)
+        self._class_used_flat = [0] * (self._num_clusters * self._n_classes)
         self._num_buses = machine.num_buses
         self._bus_flat = bytearray(machine.num_buses * ii)
         self._bus_total_flat = machine.num_buses * ii
@@ -201,9 +140,7 @@ class ArrayReservationTable(ReservationTable):
     def fu_slots_used(self, cluster: int, op_class: OpClass) -> int:
         if not 0 <= cluster < self._num_clusters:
             return 0
-        return int(
-            self._class_used_flat[cluster * self._n_classes + op_class.index]
-        )
+        return self._class_used_flat[cluster * self._n_classes + op_class.index]
 
     # -- buses -------------------------------------------------------------
     def bus_free(self, slot: BusSlot, overlay=None) -> bool:
@@ -300,7 +237,7 @@ class ArrayReservationTable(ReservationTable):
         for key in self._capacity:
             cluster, op_class = key
             base = (cluster * self._n_classes + op_class.index) * ii
-            row = to_list(flat, base, base + ii)
+            row = flat[base : base + ii]
             if any(row):
                 rows[key] = row
         return rows
@@ -310,7 +247,7 @@ class ArrayReservationTable(ReservationTable):
         ii = self.ii
         for bus in range(self.machine.num_buses):
             base = bus * ii
-            row = [int(x) for x in self._bus_flat[base : base + ii]]
+            row = list(self._bus_flat[base : base + ii])
             if any(row):
                 rows[bus] = row
         return rows
@@ -320,7 +257,7 @@ class ArrayReservationTable(ReservationTable):
 # Pressure rings on flat buffers
 # ----------------------------------------------------------------------
 class ArrayScheduleAnalysis(ScheduleAnalysis):
-    """:class:`ScheduleAnalysis` with one flat pressure-ring buffer.
+    """:class:`ScheduleAnalysis` with one flat pressure-ring list.
 
     The ring for cluster ``c`` lives at ``[c * II, (c + 1) * II)``; the
     ``counts`` property materializes the reference's list-of-lists shape,
@@ -331,14 +268,14 @@ class ArrayScheduleAnalysis(ScheduleAnalysis):
     """
 
     def _init_rings(self) -> None:
-        self._counts_flat = zeros(self.num_clusters * self.ii)
+        self._counts_flat = [0] * (self.num_clusters * self.ii)
 
     @property
     def counts(self) -> List[List[int]]:
         ii = self.ii
         flat = self._counts_flat
         return [
-            to_list(flat, cluster * ii, (cluster + 1) * ii)
+            flat[cluster * ii : (cluster + 1) * ii]
             for cluster in range(self.num_clusters)
         ]
 
@@ -355,7 +292,7 @@ class ArrayScheduleAnalysis(ScheduleAnalysis):
     def preview_effect(self, changes, registers, committed_peaks):
         ii = self.ii
         delta = [0] * self.num_clusters
-        rows: Dict[int, object] = {}
+        rows: Dict[int, List[int]] = {}
         flat = self._counts_flat
         for segments, sign in changes:
             for seg in segments:
@@ -363,15 +300,13 @@ class ArrayScheduleAnalysis(ScheduleAnalysis):
                 row = rows.get(cluster)
                 if row is None:
                     base = cluster * ii
-                    row = copy_row(flat, base, base + ii)
+                    row = flat[base : base + ii]
                     rows[cluster] = row
                 length = seg.length
                 add_segment_flat(row, 0, seg.birth, length, ii, sign)
                 delta[cluster] += sign * length
         for cluster in range(self.num_clusters):
             row = rows.get(cluster)
-            # copy_row rows are plain int lists on every backend, so
-            # max() is already a Python int.
             peak = max(row) if row is not None else committed_peaks[cluster]
             if peak > registers[cluster]:
                 return delta, False
@@ -381,7 +316,7 @@ class ArrayScheduleAnalysis(ScheduleAnalysis):
         ii = self.ii
         flat = self._counts_flat
         return [
-            max(to_list(flat, cluster * ii, (cluster + 1) * ii))
+            max(flat[cluster * ii : (cluster + 1) * ii])
             for cluster in range(self.num_clusters)
         ]
 
@@ -391,7 +326,7 @@ class ArrayScheduleAnalysis(ScheduleAnalysis):
         ii = self.ii
         flat = self._counts_flat
         for cluster in range(self.num_clusters):
-            if max(to_list(flat, cluster * ii, (cluster + 1) * ii)) > registers[cluster]:
+            if max(flat[cluster * ii : (cluster + 1) * ii]) > registers[cluster]:
                 return False
         return True
 

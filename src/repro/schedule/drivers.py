@@ -36,7 +36,6 @@ from .engine import (
     ClusterPolicy,
     EngineOptions,
     FixedClusterPolicy,
-    IISearchState,
     SchedulingEngine,
 )
 from .listsched import ListSchedule, list_schedule
@@ -106,14 +105,11 @@ class BaseScheduler:
         step = 1
         consecutive_failures = 0
         feas_hits = feas_scans = 0
-        warm_seeded = warm_hits = 0
         ii_trace = []
-        search = IISearchState() if self.options.ii_warm_start else None
         while ii <= start_ii + self.max_ii_span:
             policy = self._policy(loop, ii)
             engine = SchedulingEngine(
-                loop, self.machine, ii, policy, self._engine_options(loop),
-                search=search,
+                loop, self.machine, ii, policy, self._engine_options(loop)
             )
             attempts += 1
             ii_trace.append(ii)
@@ -122,12 +118,8 @@ class BaseScheduler:
             # attempts (where most of the spill-round rescanning happens).
             feas_hits += engine.stats.feas_cache_hits
             feas_scans += engine.stats.feas_cache_scans
-            warm_seeded += engine.stats.warm_start_seeded
-            warm_hits += engine.stats.warm_start_hits
             if found is not None:
                 break
-            if search is not None:
-                search.absorb(engine)
             # Escalate geometrically on stubborn loops: after every three
             # consecutive failures the II step doubles (1,1,2,2,2,4,...),
             # keeping pathological register-bound loops from costing dozens
@@ -148,8 +140,6 @@ class BaseScheduler:
             found.stats.feas_cache_hits = feas_hits
             found.stats.feas_cache_scans = feas_scans
             found.stats.ii_trace = tuple(ii_trace)
-            found.stats.warm_start_seeded = warm_seeded
-            found.stats.warm_start_hits = warm_hits
             if self.options.validate_schedules:
                 # Paranoid end-to-end mode (CLI --verify): rebuild the
                 # lifetime analysis from the raw ledger and cross-check it

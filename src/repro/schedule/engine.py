@@ -235,13 +235,6 @@ class EngineOptions:
     #: (the A/B property tests assert it); ``False`` forces the pure
     #: dict/list reference path.
     array_kernels: bool = True
-    #: Let the II-search driver carry an :class:`IISearchState` across
-    #: engine attempts: a re-attempt at the *same* II re-seeds each node's
-    #: pruned-slot set from the previous attempt's outcomes (see the
-    #: class docstring for why adoption is gated to equal IIs).  Purely
-    #: observational under the stock strictly-escalating search;
-    #: ``ScheduleStats`` records the seeded/hit counters and the II trace.
-    ii_warm_start: bool = True
     #: Cross-check the incremental pressure tracker against the reference
     #: recompute after every commit, spill and candidate rollback, and the
     #: structural (reservation-table) handover against the reference
@@ -254,49 +247,6 @@ class EngineOptions:
     validate_schedules: bool = False
 
 
-class IISearchState:
-    """Warm-start state carried across the engine attempts of one II search.
-
-    After a failed attempt the driver calls :meth:`absorb`, which adopts
-    the attempt's per-node pruned-slot sets (the candidate-feasibility
-    cache: (cluster, cycle) slots that failed for reasons a spill cannot
-    cure — ``"fu"``/``"dep"``); :meth:`seed_for` hands them back to the
-    next attempt so its window scans skip the proven-dead slots instead
-    of re-probing them.
-
-    **Soundness.** A recorded prune is a fact about the committed-placement
-    prefix that existed when its node was placed, at that attempt's II.  A
-    deterministic re-attempt at the *same* II (same policy, same options)
-    reconstructs the identical prefix node by node, so every adopted prune
-    re-proves itself — schedules are bit-identical with or without the
-    seed, which is what the A/B property tests assert.  Across *different*
-    IIs the facts do not transfer: both the dependence-window arithmetic
-    and the FU conflict pattern relax as II grows, so a slot that failed
-    at II may succeed at II+1 — pruning it would change schedules.
-    :meth:`seed_for` therefore gates adoption on II equality.  Under the
-    stock strictly-escalating II search this means seeding never fires
-    (the counters record exactly that, honestly); same-II re-attempts —
-    driver-level replays, the property tests — get the full benefit.
-    """
-
-    __slots__ = ("prev_ii", "pruned_by_node")
-
-    def __init__(self) -> None:
-        self.prev_ii: Optional[int] = None
-        self.pruned_by_node: Dict[int, Set[Tuple[int, int]]] = {}
-
-    def seed_for(self, uid: int, ii: int) -> Optional[Set[Tuple[int, int]]]:
-        """The previous attempt's pruned slots for ``uid``, iff same II."""
-        if ii != self.prev_ii:
-            return None
-        return self.pruned_by_node.get(uid)
-
-    def absorb(self, engine: "SchedulingEngine") -> None:
-        """Adopt a finished (failed) attempt's pruned-slot sets."""
-        self.prev_ii = engine.ii
-        self.pruned_by_node = engine._pruned_by_node
-
-
 class SchedulingEngine:
     """One modulo-scheduling attempt of one loop at one fixed II."""
 
@@ -307,14 +257,12 @@ class SchedulingEngine:
         ii: int,
         policy: ClusterPolicy,
         options: Optional[EngineOptions] = None,
-        search: Optional[IISearchState] = None,
     ) -> None:
         self.loop = loop
         self.machine = machine
         self.ii = ii
         self.policy = policy
         self.options = options or EngineOptions()
-        self.search = search
         self.ddg = loop.ddg
         self.table = make_reservation_table(
             machine, ii, self.options.array_kernels
@@ -326,9 +274,6 @@ class SchedulingEngine:
         self._aux_mem_per_cluster: Dict[int, int] = {}
         self._total_mem_ops = sum(1 for op in self.ddg.operations() if op.is_memory)
         self._failure_reasons: Dict[int, Set[str]] = {}
-        # Per-node pruned-slot sets of this attempt, kept for the II-search
-        # warm start to absorb (see IISearchState).
-        self._pruned_by_node: Dict[int, Set[Tuple[int, int]]] = {}
         # Incremental register accounting (see the module docstring) plus
         # per-cluster constants the hot path would otherwise re-derive.
         # The analysis session owns the value ledger; on success the very
@@ -402,23 +347,14 @@ class SchedulingEngine:
         # (cluster, cycle) slots whose failure a spill provably cannot fix
         # (see _evaluate).  Placements and the MRT only gain reservations
         # while this node is being placed, so the pruned set never goes
-        # stale; it dies with the node — unless an II-search warm start
-        # absorbs it for a same-II re-attempt (see IISearchState).
+        # stale; it dies with the node.
         pruned: Set[Tuple[int, int]] = set()
-        seeded: Optional[frozenset] = None
-        if self.search is not None and self.options.feas_cache:
-            seed = self.search.seed_for(uid, self.ii)
-            if seed:
-                pruned |= seed
-                seeded = frozenset(seed)
-                self.stats.warm_start_seeded += len(seed)
-        self._pruned_by_node[uid] = pruned
         for _round in range(self.options.max_spill_rounds + 1):
             self._failure_reasons = {}
             candidate = self.policy.select(
                 uid,
                 lambda cluster: self._evaluate(
-                    uid, cluster, window, plan, pruned, seeded
+                    uid, cluster, window, plan, pruned
                 ),
                 self.options.merit_threshold,
             )
@@ -536,7 +472,6 @@ class SchedulingEngine:
         window: Optional[Sequence[int]] = None,
         plan: "Optional[_NodePlan]" = None,
         pruned: "Optional[Set[Tuple[int, int]]]" = None,
-        seeded: Optional[frozenset] = None,
     ) -> Optional[Candidate]:
         reasons = self._failure_reasons.setdefault(cluster, set())
         op = self.ddg.operation(uid)
@@ -552,10 +487,7 @@ class SchedulingEngine:
         for time in window:
             if caching:
                 if (cluster, time) in pruned:
-                    if seeded is not None and (cluster, time) in seeded:
-                        stats.warm_start_hits += 1
-                    else:
-                        stats.feas_cache_hits += 1
+                    stats.feas_cache_hits += 1
                     continue
                 stats.feas_cache_scans += 1
                 slot_reasons: Set[str] = set()

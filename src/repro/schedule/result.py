@@ -91,13 +91,8 @@ class ScheduleStats:
     feas_cache_hits: int = 0
     feas_cache_scans: int = 0
     #: II-search telemetry (purely observational, never exported): the
-    #: exact sequence of IIs attempted, and the warm-start counters —
-    #: pruned slots adopted from a previous same-II attempt
-    #: (``warm_start_seeded``) vs. window slots actually skipped because
-    #: of an adopted prune (``warm_start_hits``).
+    #: exact sequence of IIs attempted.
     ii_trace: Tuple[int, ...] = ()
-    warm_start_seeded: int = 0
-    warm_start_hits: int = 0
 
 
 @dataclass

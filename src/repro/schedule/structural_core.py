@@ -247,10 +247,9 @@ class StructuralAnalysis:
         placements: Optional[Dict[int, PlacementRow]] = None,
     ) -> None:
         self.ii = ii
-        # Handed-over rows may be array-backed (``array('q')``, bytearray,
-        # numpy) when the engine ran on the flat-array kernels; normalize
-        # to plain int lists here so ``matches``/``verify`` compare equal
-        # to the reference sweeps and exports never see array scalars.
+        # Callers may hand over any int sequence (``array('q')``,
+        # ``bytearray``); normalize to plain int lists here so
+        # ``matches``/``verify`` compare equal to the reference sweeps.
         self.fu_rows = {
             key: row if type(row) is list else [int(x) for x in row]
             for key, row in fu_rows.items()

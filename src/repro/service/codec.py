@@ -1,14 +1,13 @@
 """Canonical JSON (de)serialization of service requests and responses.
 
-One codec, two consumers: the **disk result store** persists encoded
+The **result store** persists encoded
 :class:`~repro.service.responses.EvaluationResponse` /
 :class:`~repro.service.responses.ScheduleResponse` envelopes keyed by
-request fingerprint, and the **daemon wire protocol** ships encoded
-requests and responses as JSON lines.  Both therefore share one schema
-(:data:`CODEC_SCHEMA`, carried on every payload) and one canonical text
-form (:func:`dumps`: sorted keys, compact separators) — so re-encoding a
-decoded payload is byte-identical, which the round-trip property suite
-enforces and the store's integrity checks rely on.
+request fingerprint.  Every payload carries one schema tag
+(:data:`CODEC_SCHEMA`) and has one canonical text form (:func:`dumps`:
+sorted keys, compact separators) — so re-encoding a decoded payload is
+byte-identical, which the round-trip property suite enforces and the
+store's integrity checks rely on.
 
 Requests are encoded *by content*: explicit loops serialize through
 :mod:`repro.ir.serialize`, explicit machines and engine options through
@@ -112,8 +111,6 @@ class StoredStats:
     feas_cache_hits: int = 0
     feas_cache_scans: int = 0
     ii_trace: Tuple[int, ...] = ()
-    warm_start_seeded: int = 0
-    warm_start_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -466,8 +463,6 @@ def _encode_outcome(outcome) -> Dict[str, Any]:
             feas_cache_hits=stats.feas_cache_hits,
             feas_cache_scans=stats.feas_cache_scans,
             ii_trace=list(stats.ii_trace),
-            warm_start_seeded=stats.warm_start_seeded,
-            warm_start_hits=stats.warm_start_hits,
         )
     else:
         entry["length"] = schedule.length
@@ -493,8 +488,6 @@ def _decode_outcome(entry: Dict[str, Any]) -> StoredOutcome:
                     feas_cache_hits=entry.get("feas_cache_hits", 0),
                     feas_cache_scans=entry.get("feas_cache_scans", 0),
                     ii_trace=tuple(entry.get("ii_trace", ())),
-                    warm_start_seeded=entry.get("warm_start_seeded", 0),
-                    warm_start_hits=entry.get("warm_start_hits", 0),
                 ),
             )
         else:
@@ -613,7 +606,7 @@ def decode_response(
 def dumps_response(
     response: Union[ScheduleResponse, EvaluationResponse]
 ) -> str:
-    """Canonical text of one response (store entry / wire payload)."""
+    """Canonical text of one response (one store entry)."""
     return dumps(encode_response(response))
 
 

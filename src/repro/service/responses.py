@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..eval.retry import ExecutionTelemetry, FailureReport, WireTelemetry
+from ..eval.retry import ExecutionTelemetry, FailureReport
 from ..eval.runner import SuiteResult
 from ..schedule.drivers import ScheduleOutcome
 from .requests import EvaluationRequest, ScheduleRequest
@@ -57,13 +57,6 @@ class ResponseMeta:
     #: *this* response was served from the persistent store — distinct
     #: from :attr:`cache_hit`, which also covers the in-process memo.
     store: Optional[StoreTelemetry] = None
-    #: Transport cost of fetching this response over the daemon wire
-    #: (attempts, retries, reconnects, degraded-to-in-process).  Stamped
-    #: by :class:`~repro.service.client.ServiceClient` *after* decoding —
-    #: it is a property of this client's exchange, not of the result, so
-    #: the codec never serializes it and stored entries stay byte-stable.
-    #: ``None`` on local (non-wire) responses.
-    wire: Optional[WireTelemetry] = None
 
 
 @dataclass(frozen=True)

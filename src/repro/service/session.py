@@ -187,8 +187,9 @@ class ReproService:
         self._cache.clear()
 
     def warm(self) -> int:
-        """Pre-spawn the session's worker processes (the daemon's warm
-        start); returns how many workers are live (0 at ``jobs=1``)."""
+        """Pre-spawn the session's worker processes, so start-up cost is
+        paid before the first request instead of inside its latency;
+        returns how many workers are live (0 at ``jobs=1``)."""
         if self._pool is None:
             return 0
         return self._pool.warm()

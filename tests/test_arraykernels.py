@@ -5,9 +5,7 @@ dict/list implementations in ``mrt.py`` / ``analysis_core.py`` stay the
 reference truth, and the flat-array subclasses change only the storage
 layout — so every scheduler must produce **bit-identical** schedules with
 ``EngineOptions.array_kernels`` on and off, on every machine shape, spills
-and cross-cluster communication included.  Same for the II-search warm
-start (``ii_warm_start``), which under the stock strictly-escalating II
-search must be a pure no-op (its counters record that honestly).
+and cross-cluster communication included.
 
 Also covered here:
 
@@ -17,9 +15,7 @@ Also covered here:
 * unit-level equivalence of :func:`add_segment_flat` against
   :func:`add_segment_to_ring` and of :class:`ArrayReservationTable`
   against :class:`ReservationTable` under random reserve/release traffic;
-* same-II warm-start seeding: adopting a failed attempt's pruned slots at
-  the *same* II changes nothing about the outcome while the hit counters
-  fire.
+* the II-search telemetry (``ii_trace``) and its aggregation.
 """
 
 from __future__ import annotations
@@ -37,21 +33,14 @@ from repro.schedule.arraykernels import (
     ArrayReservationTable,
     ArrayScheduleAnalysis,
     add_segment_flat,
-    zeros,
 )
 from repro.schedule.drivers import (
     FixedPartitionScheduler,
     GPScheduler,
     UracamScheduler,
 )
-from repro.schedule.engine import (
-    AllClustersPolicy,
-    EngineOptions,
-    IISearchState,
-    SchedulingEngine,
-)
+from repro.schedule.engine import EngineOptions
 from repro.schedule.lifetimes import add_segment_to_ring
-from repro.schedule.mii import mii
 from repro.schedule.mrt import BusSlot, FUSlot, ReservationTable
 from repro.schedule.result import ModuloSchedule
 from repro.schedule.structural_core import StructuralAnalysis
@@ -59,7 +48,7 @@ from repro.workloads.generator import LoopShape, generate_loop
 from repro.workloads.spec import extended_suite, spec_suite
 
 #: Forces the pure dict/list reference hot path.
-REFERENCE = EngineOptions(array_kernels=False, ii_warm_start=False)
+REFERENCE = EngineOptions(array_kernels=False)
 
 TABLE1_MACHINES = [
     two_cluster(32),
@@ -110,28 +99,22 @@ def _fingerprint(sched: ModuloSchedule):
     )
 
 
-def _assert_bit_identical(loop_name, shape, seed, machine, scheduler_cls,
-                          options_a=None, options_b=REFERENCE,
-                          full_recheck=True):
+def _assert_bit_identical(loop_name, shape, seed, machine, scheduler_cls):
     """Schedule twice from fresh, identical loops; demand equality."""
-    kwargs_a = {"options": options_a} if options_a is not None else {}
-    a = scheduler_cls(machine, **kwargs_a).schedule(
-        generate_loop(loop_name, shape, seed)
-    )
-    b = scheduler_cls(machine, options=options_b).schedule(
+    a = scheduler_cls(machine).schedule(generate_loop(loop_name, shape, seed))
+    b = scheduler_cls(machine, options=REFERENCE).schedule(
         generate_loop(loop_name, shape, seed)
     )
     assert a.is_modulo == b.is_modulo
     if not a.is_modulo:
         return None
     assert _fingerprint(a.schedule) == _fingerprint(b.schedule)
-    if full_recheck:
-        a.schedule.validate(full_recheck=True)
+    a.schedule.validate(full_recheck=True)
     return a
 
 
 # ----------------------------------------------------------------------
-# A/B bit-identity: array kernels on/off, warm start on/off
+# A/B bit-identity: array kernels on/off
 # ----------------------------------------------------------------------
 @settings(max_examples=12, deadline=None)
 @given(
@@ -142,17 +125,6 @@ def _assert_bit_identical(loop_name, shape, seed, machine, scheduler_cls,
 def test_array_kernels_bit_identical_property(shape, seed, scheduler_cls):
     _assert_bit_identical(
         "arraykernels", shape, seed, two_cluster(32), scheduler_cls
-    )
-
-
-@settings(max_examples=8, deadline=None)
-@given(shape=loop_shapes, seed=seeds)
-def test_warm_start_toggle_bit_identical_property(shape, seed):
-    """Warm start alone (array kernels fixed on) changes nothing."""
-    _assert_bit_identical(
-        "warmstart", shape, seed, two_cluster(32), GPScheduler,
-        options_b=EngineOptions(ii_warm_start=False),
-        full_recheck=False,
     )
 
 
@@ -263,7 +235,7 @@ def test_add_segment_flat_matches_reference_ring():
     for _ in range(200):
         ii = rng.randint(1, 9)
         clusters = rng.randint(1, 3)
-        flat = zeros(clusters * ii)
+        flat = [0] * (clusters * ii)
         rings = [[0] * ii for _ in range(clusters)]
         for _ in range(rng.randint(1, 12)):
             cluster = rng.randrange(clusters)
@@ -273,7 +245,7 @@ def test_add_segment_flat_matches_reference_ring():
             add_segment_flat(flat, cluster * ii, birth, length, ii, sign)
             add_segment_to_ring(rings[cluster], birth, length, ii, sign)
         for cluster in range(clusters):
-            assert list(flat[cluster * ii:(cluster + 1) * ii]) == rings[cluster]
+            assert flat[cluster * ii:(cluster + 1) * ii] == rings[cluster]
 
 
 def test_array_table_matches_reference_under_random_traffic():
@@ -367,11 +339,11 @@ def test_pressure_tracker_counts_property_matches_reference_shape():
 
 
 # ----------------------------------------------------------------------
-# II-search warm start
+# II-search telemetry
 # ----------------------------------------------------------------------
-def test_warm_start_counters_zero_under_stock_search():
-    """Strictly-escalating II search never revisits an II, so seeding
-    never fires — and the telemetry must record that honestly."""
+def test_ii_trace_records_strictly_escalating_search():
+    """The driver's II search only ever raises the II: the trace holds
+    one entry per attempt, strictly increasing."""
     for seed in range(3):
         outcome = GPScheduler(four_cluster(16)).schedule(
             generate_loop("stock-search", SPILL_SHAPE, seed)
@@ -379,69 +351,8 @@ def test_warm_start_counters_zero_under_stock_search():
         if not outcome.is_modulo:
             continue
         stats = outcome.schedule.stats
-        assert stats.warm_start_seeded == 0
-        assert stats.warm_start_hits == 0
         assert len(stats.ii_trace) == stats.ii_attempts
         assert list(stats.ii_trace) == sorted(set(stats.ii_trace))
-
-
-def _failing_attempt():
-    """A (loop factory, machine, ii) whose first engine attempt fails with
-    a non-empty pruned-slot record."""
-    machine = four_cluster(16)
-    shape = LoopShape(
-        28, mem_ratio=0.3, depth_bias=0.4, recurrences=1, trip_count=100
-    )
-    for seed in range(24):
-        def fresh(seed=seed):
-            return generate_loop("warm-replay", shape, seed)
-
-        loop = fresh()
-        ii = mii(loop, machine)
-        engine = SchedulingEngine(
-            loop, machine, ii, AllClustersPolicy(machine.num_clusters),
-            EngineOptions(),
-        )
-        if engine.attempt() is None and any(engine._pruned_by_node.values()):
-            return fresh, machine, ii, engine
-    pytest.skip("no failing first attempt found in the seed range")
-
-
-def test_same_ii_warm_start_is_outcome_preserving():
-    """Re-running a failed attempt at the *same* II with adopted prunes
-    reaches the same verdict while the warm counters fire."""
-    fresh, machine, ii, failed = _failing_attempt()
-    state = IISearchState()
-    state.absorb(failed)
-
-    policy = AllClustersPolicy(machine.num_clusters)
-    warm = SchedulingEngine(
-        fresh(), machine, ii, policy, EngineOptions(), search=state
-    )
-    warm_result = warm.attempt()
-    cold = SchedulingEngine(fresh(), machine, ii, policy, EngineOptions())
-    cold_result = cold.attempt()
-
-    assert (warm_result is None) == (cold_result is None)
-    if warm_result is not None:
-        assert _fingerprint(warm_result) == _fingerprint(cold_result)
-    assert warm.stats.warm_start_seeded > 0
-    assert warm.stats.warm_start_hits > 0
-    assert cold.stats.warm_start_seeded == 0
-
-
-def test_warm_start_seed_gated_on_ii_equality():
-    """Adopted prunes must never leak to a different II (unsound there:
-    failure reasons relax as the II grows)."""
-    fresh, machine, ii, failed = _failing_attempt()
-    state = IISearchState()
-    state.absorb(failed)
-    uid = next(
-        uid for uid, pruned in failed._pruned_by_node.items() if pruned
-    )
-    assert state.seed_for(uid, ii)
-    assert state.seed_for(uid, ii + 1) is None
-    assert state.seed_for(uid, ii - 1) is None
 
 
 def test_ii_search_stats_aggregation():
@@ -459,4 +370,4 @@ def test_ii_search_stats_aggregation():
         o.schedule.stats.ii_attempts for o in modulo
     )
     assert sum(stats["per_ii_attempts"].values()) == stats["attempts"]
-    assert stats["warm_start"] == {"seeded": 0, "hits": 0, "hit_rate": 0.0}
+    assert set(stats) == {"attempts", "per_ii_attempts"}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, parse_machine
+from repro.cli import build_parser, main
 from repro.errors import ReproError
 from repro.machine.spec import parse_machine_spec
 
@@ -39,11 +39,6 @@ class TestParseMachineSpec:
             parse_machine_spec("2")
         with pytest.raises(ReproError):
             parse_machine_spec("2x32x1x1x9")
-
-    def test_cli_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            machine = parse_machine("2x32")
-        assert machine == parse_machine_spec("2x32")
 
 
 class TestCommands:
@@ -123,15 +118,12 @@ class TestCommands:
         )
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-bench-cli/v5"
+        assert payload["schema"] == "repro-bench-cli/v6"
         assert payload["suite"] == "paper"
-        # A local (non-daemon) run records no wire transport block.
-        assert payload["wire"] is None
+        assert "wire" not in payload
         assert payload["jobs"] == 1
         assert payload["oversubscribed"] is False
-        assert payload["engine_options"] == {
-            "array_kernels": True, "ii_warm_start": True,
-        }
+        assert payload["engine_options"] == {"array_kernels": True}
         assert "profile" not in payload
         assert payload["wall_seconds"] > 0
         assert set(payload["cpu_seconds_per_benchmark"]) == {
@@ -171,10 +163,6 @@ class TestCommands:
         assert main(argv) == 0
         default = capsys.readouterr().out
         assert main(argv + ["--no-array-kernels"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(argv + ["--no-warm-start"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(argv + ["--no-array-kernels", "--no-warm-start"]) == 0
         assert capsys.readouterr().out == default
 
     def test_bench_warns_when_jobs_oversubscribe_host(self, tmp_path, capsys):
@@ -390,19 +378,3 @@ class TestStoreAndCacheCommands:
         assert main(args) == 0
         captured = capsys.readouterr()
         assert "cache: hits=3 misses=0" in captured.err
-
-    def test_daemon_rejects_fault_plan(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"faults": []}))
-        assert main([
-            "evaluate", "--clusters", "2", "--registers", "32",
-            "--daemon", "--fault-plan", str(plan),
-        ]) == 1
-        assert "--fault-plan" in capsys.readouterr().err
-
-    def test_serve_stop_without_daemon(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_DAEMON_SOCKET", str(tmp_path / "no.sock")
-        )
-        assert main(["serve", "--stop"]) == 0
-        assert "no daemon running" in capsys.readouterr().err

@@ -1,13 +1,14 @@
 """The canonical response codec: round-trip fidelity and schema checks.
 
-The codec backs both the disk store and the daemon wire protocol, so the
-load-bearing properties are: (1) encode → decode → encode is
-byte-identical (canonical form is a fixed point); (2) a decoded response
-renders every artifact surface — export JSON, per-benchmark IPC, Table 2
-fields — identically to the original; (3) a decoded *request*
-fingerprints identically to the original, so cache keys survive the
-wire; (4) malformed/truncated/wrong-schema payloads raise
-:class:`CodecError`, never decode garbage.
+The codec backs the disk store, so the load-bearing properties are:
+(1) encode → decode → encode is byte-identical (canonical form is a
+fixed point); (2) a decoded response renders every artifact surface —
+export JSON, per-benchmark IPC, Table 2 fields — identically to the
+original; (3) a decoded *request* fingerprints identically to the
+original, so cache keys survive a round trip through the store;
+(4) malformed/truncated/wrong-schema payloads raise :class:`CodecError`,
+never decode garbage; (5) entries written by older builds that carry
+since-retired outcome counters still decode.
 """
 
 import json
@@ -162,10 +163,10 @@ class TestRequestRoundTrip:
         assert decoded.fingerprint() == request.fingerprint()
 
     def test_decoded_request_schedules_identically(self):
-        # Not just the same fingerprint: the same *result*, so a daemon
-        # computing from a decoded request matches local execution
-        # bit-for-bit (this is what the serializer's replayable edge
-        # order guarantees).
+        # Not just the same fingerprint: the same *result*, so another
+        # process computing from a decoded request matches local
+        # execution bit-for-bit (this is what the serializer's
+        # replayable edge order guarantees).
         request = EvaluationRequest(
             scheduler="uracam", machine="2x32", suite=mini_suite()
         )
@@ -268,3 +269,44 @@ class TestSchemaChecks:
 
     def test_schema_constant_is_versioned(self):
         assert CODEC_SCHEMA == "repro-codec/1"
+
+
+class TestRetiredFields:
+    """Entries written by builds that still had the II-search warm start
+    carry ``warm_start_seeded``/``warm_start_hits`` in every modulo
+    outcome; they must decode (the keys are ignored), not miss."""
+
+    @pytest.mark.parametrize("kind", ["schedule", "evaluation"])
+    def test_old_entry_with_warm_start_counters_decodes(
+        self, kind, schedule_response, evaluation_response
+    ):
+        response = (
+            schedule_response if kind == "schedule" else evaluation_response
+        )
+        current = dumps_response(response)
+        old = json.loads(current)
+        if kind == "schedule":
+            outcomes = [old["outcome"]]
+        else:
+            outcomes = [
+                outcome
+                for bench in old["result"]["benchmarks"]
+                for outcome in bench["outcomes"]
+            ]
+        modulo = [outcome for outcome in outcomes if outcome["modulo"]]
+        assert modulo
+        for outcome in modulo:
+            outcome["warm_start_seeded"] = 0
+            outcome["warm_start_hits"] = 0
+        decoded = loads_response(json.dumps(old))
+        assert dumps_response(decoded) == current
+
+    def test_unknown_option_rejected(self):
+        payload = encode_request(
+            ScheduleRequest(
+                kernel="daxpy", machine="2x32", options=EngineOptions()
+            )
+        )
+        payload["options"]["no_such_knob"] = True
+        with pytest.raises(CodecError):
+            decode_request(payload)

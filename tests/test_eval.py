@@ -4,7 +4,7 @@ import pytest
 
 from repro.eval.metrics import aggregate_ipc, arithmetic_mean, percent_gain, speedup
 from repro.eval.report import format_bar_chart, format_table
-from repro.eval.runner import make_scheduler, run_benchmark, run_suite
+from repro.eval.runner import run_benchmark, run_suite
 from repro.machine.presets import two_cluster, unified
 from repro.service import SCHEDULERS
 from repro.workloads.spec import Benchmark, make_benchmark
@@ -42,18 +42,6 @@ class TestMetrics:
 class TestRunner:
     def make_mini_benchmark(self):
         return Benchmark(name="mini", loops=(daxpy(), stencil5()))
-
-    def test_make_scheduler_shim_warns_but_works(self):
-        # The legacy entry point survives as a deprecation shim over the
-        # service registry: same result, plus a DeprecationWarning.
-        with pytest.warns(DeprecationWarning):
-            s = make_scheduler("gp", two_cluster(64))
-        assert s.name == "gp"
-
-    def test_make_scheduler_shim_unknown_still_keyerror(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                make_scheduler("nope", two_cluster(64))
 
     def test_run_benchmark_collects_all_loops(self):
         result = run_benchmark(

@@ -228,8 +228,8 @@ class TestOpenStore:
 
 
 class TestCrashSafetyAndSharing:
-    """PR 9 hardening: fsync durability, full-disk degradation,
-    quarantine for corrupt entries, and the multi-daemon eviction lock."""
+    """Crash safety: fsync durability, full-disk degradation, quarantine
+    for corrupt entries, and the cross-process eviction lock."""
 
     def test_fsync_round_trip(self, tmp_path):
         store = DiskStore(str(tmp_path / "store"), fsync=True)
@@ -305,7 +305,7 @@ class TestCrashSafetyAndSharing:
         entry = '{"value": 0}'
         store = DiskStore(str(tmp_path / "store"), max_bytes=2 * len(entry))
         store.put("a" * 64, entry)
-        # Another daemon holds the eviction lock on the shared root:
+        # Another process holds the eviction lock on the shared root:
         # this store must skip eviction (over budget beats corrupting a
         # concurrent eviction pass) instead of blocking or racing.
         lock_path = tmp_path / "store" / "eviction.lock"
