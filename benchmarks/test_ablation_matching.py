@@ -6,16 +6,20 @@ ablation quantifies how little the choice matters for schedule quality —
 justifying the library's greedy default.
 """
 
+import pytest
 from conftest import save_artifact
 
 from repro.eval.figures import ablation_matching
 
 
-def test_ablation_matching(benchmark, suite, results_dir):
+@pytest.mark.timing_artifact
+def test_ablation_matching(benchmark, suite, results_dir, pytestconfig):
     report = benchmark.pedantic(
         ablation_matching, kwargs={"suite": suite}, rounds=1, iterations=1
     )
-    save_artifact(results_dir, "ablation_matching.txt", report)
+    save_artifact(
+        results_dir, "ablation_matching.txt", report, timed_by=pytestconfig
+    )
     assert "greedy" in report and "exact" in report
 
     # Both matchings must land within a few percent of each other.

@@ -6,10 +6,10 @@ timings of the Table 2 configurations and the micro components in a
 before/after-comparable schema, so future PRs can diff their scheduling
 CPU time against the committed baseline.
 
-Schema (``repro-bench/v7``)::
+Schema (``repro-bench/v8``)::
 
     {
-      "schema": "repro-bench/v7",
+      "schema": "repro-bench/v8",
       "table2": {"<config>": {"<scheduler>": seconds_per_benchmark}},
       "micro":  {"<component>": best_seconds},
       "parallel": {"suite": "extended", "loops": N, "scheduler": "gp",
@@ -32,7 +32,7 @@ Schema (``repro-bench/v7``)::
                                  {"suite": "paper|extended",
                                   "attempts": N,
                                   "per_ii_attempts": {"<ii>": N}}}},
-      "meta":   {"rounds": N, "ab_rounds": {"gp": N, "uracam": N},
+      "meta":   {"rounds": N, "engine_rounds": {"gp": N, "uracam": N},
                  "suite_benchmarks": M}
     }
 
@@ -64,19 +64,14 @@ schedulers are recorded on the spill-heavy 4x32 paper tier.
 
 v5 additions on top:
 
-* ``micro`` gains an interleaved A/B of the flat-array hot-path
-  kernels: ``gp_schedule_loop`` / ``uracam_schedule_loop`` run with the
-  default engine options (array kernels on) while the ``*_reference``
-  twins force the pure dict/list reference path
-  (``EngineOptions(array_kernels=False)``).  Both
-  time the *engine attempt stage* only — the scheduler's partition and
-  policy are prepared once outside the timed region (they are identical
-  code in both legs; on medium loops the partitioner is ~75% of an
-  end-to-end ``schedule()`` call and would drown the kernel delta) —
-  aggregated over a fixed basket of medium/large loops so no single
-  workload's scheduling quirks dominate.  The legs alternate within
-  every round so machine drift hits both equally; the recorded value is
-  mean seconds per engine attempt.
+* ``micro`` gains the engine-stage timings ``gp_schedule_loop`` /
+  ``uracam_schedule_loop``: the *engine attempt stage* only — the
+  scheduler's partition and policy are prepared once outside the timed
+  region (on medium loops the partitioner is ~75% of an end-to-end
+  ``schedule()`` call and would drown the engine's share) — aggregated
+  over a fixed basket of medium/large loops so no single workload's
+  scheduling quirks dominate.  The recorded value is mean seconds per
+  engine attempt.
 * ``ii_search`` records the II-search telemetry (attempt counts and the
   per-II attempt histogram).
 * ``parallel.skipped`` flags a single-CPU host where the pooled timing
@@ -85,6 +80,10 @@ v5 additions on top:
 v7 drops v6's ``wire`` block (the daemon transport it timed is gone)
 and the ``warm_start`` counters from ``ii_search`` (the II-search warm
 start is gone).
+
+v8 drops the ``*_reference`` engine micros (the engine has one storage
+layout, so there is no second leg to time) and renames ``meta.ab_rounds``
+to ``meta.engine_rounds``.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ from repro.schedule.drivers import (
     GPScheduler,
     UracamScheduler,
 )
-from repro.schedule.engine import EngineOptions, SchedulingEngine
+from repro.schedule.engine import SchedulingEngine
 from repro.schedule.mii import mii
 from repro.schedule.ordering import sms_order
 from repro.schedule.structural_core import StructuralAnalysis
@@ -120,30 +119,25 @@ _MEDIUM_SHAPE = LoopShape(
     40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
 )
 
-#: Engine-dominated body for the A/B micros: the flat-array win grows
-#: with the number of slot probes per attempt, so the basket leans on a
-#: large loop alongside the medium ones.
+#: Engine-dominated body for the engine-stage micros: the basket leans on
+#: a large loop (many slot probes per attempt) alongside the medium ones.
 _LARGE_SHAPE = LoopShape(
     90, mem_ratio=0.25, depth_bias=0.4, recurrences=2, trip_count=200
 )
 
 _MICRO_ROUNDS = 3
 
-#: Forces the pure dict/list reference hot path for the A/B micros.
-_REFERENCE_OPTIONS = EngineOptions(array_kernels=False)
-
-#: (shape, seed, interleaved rounds) baskets for the engine-stage A/B.
-#: Seeds are deliberately diverse — per-seed deltas range from slightly
-#: negative to ~+15% depending on how much slot scanning the attempt
-#: does; the aggregate is what the baseline records.
-_GP_AB_BASKET = (
+#: (shape, seed, rounds) baskets for the engine-stage micros.  Seeds are
+#: deliberately diverse in how much slot scanning an attempt does; the
+#: aggregate is what the baseline records.
+_GP_ENGINE_BASKET = (
     (_MEDIUM_SHAPE, 0, 60),
     (_MEDIUM_SHAPE, 7, 60),
     (_MEDIUM_SHAPE, 11, 60),
     (_LARGE_SHAPE, 3, 60),
     (_LARGE_SHAPE, 7, 40),
 )
-_URACAM_AB_BASKET = (
+_URACAM_ENGINE_BASKET = (
     (_MEDIUM_SHAPE, 99, 60),
     (_MEDIUM_SHAPE, 7, 60),
 )
@@ -170,21 +164,14 @@ def _best_of_cold(fn, rounds=_MICRO_ROUNDS, prep=None):
     return best
 
 
-def _engine_ab(scheduler_cls, machine, basket):
-    """Interleaved engine-stage A/B over a basket of loops.
+def _engine_stage(scheduler_cls, machine, basket):
+    """Mean seconds per engine attempt over a basket of loops.
 
     For each ``(shape, seed, rounds)`` entry the scheduler's partition
-    and policy are built once, outside the timed region — that stage is
-    byte-for-byte the same code in both legs — then ``rounds``
-    alternating pairs of :class:`SchedulingEngine` attempts run at
-    ``mii + 1``, one with the default options (flat-array kernels + warm
-    start), one forcing the dict/list reference path.  Alternating which
-    leg goes first inside every round makes clock drift and cache warmth
-    hit both configurations symmetrically.  Returns mean seconds per
-    attempt for (array, reference).
+    and policy are built once, outside the timed region, then ``rounds``
+    :class:`SchedulingEngine` attempts run at ``mii + 1``.
     """
-    array_options = EngineOptions()
-    total_a = total_b = 0.0
+    total = 0.0
     total_rounds = 0
     for shape, seed, rounds in basket:
         loop = generate_loop("bench_engine", shape, seed=seed)
@@ -193,22 +180,14 @@ def _engine_ab(scheduler_cls, machine, basket):
         sched._prepare(loop, ii)
         policy = sched._policy(loop, ii)
         # Warm the per-graph memoized analyses so round 0 is not charged
-        # for them (they are shared by both legs anyway).
-        SchedulingEngine(loop, machine, ii, policy, _REFERENCE_OPTIONS).attempt()
-        for round_index in range(rounds):
-            legs = [("a", array_options), ("b", _REFERENCE_OPTIONS)]
-            if round_index % 2:
-                legs.reverse()
-            for which, options in legs:
-                started = time.perf_counter()
-                SchedulingEngine(loop, machine, ii, policy, options).attempt()
-                elapsed = time.perf_counter() - started
-                if which == "a":
-                    total_a += elapsed
-                else:
-                    total_b += elapsed
+        # for them.
+        SchedulingEngine(loop, machine, ii, policy).attempt()
+        for _ in range(rounds):
+            started = time.perf_counter()
+            SchedulingEngine(loop, machine, ii, policy).attempt()
+            total += time.perf_counter() - started
         total_rounds += rounds
-    return total_a / total_rounds, total_b / total_rounds
+    return total / total_rounds
 
 
 @pytest.mark.bench
@@ -239,17 +218,13 @@ def test_emit_bench_schedule_json(suite, big_suite, extended_parallel_timings):
             lambda loop: partitioner.partition(loop, mii(loop, four64))
         ),
     }
-    # Interleaved A/B: the default engine (flat-array kernels + warm
-    # start) against the dict/list reference path, engine stage only,
-    # aggregated over the workload baskets.
-    gp_array, gp_reference = _engine_ab(GPScheduler, four64, _GP_AB_BASKET)
-    uracam_array, uracam_reference = _engine_ab(
-        UracamScheduler, four64, _URACAM_AB_BASKET
+    # Engine stage only, aggregated over the workload baskets.
+    micro["gp_schedule_loop"] = _engine_stage(
+        GPScheduler, four64, _GP_ENGINE_BASKET
     )
-    micro["gp_schedule_loop"] = gp_array
-    micro["gp_schedule_loop_reference"] = gp_reference
-    micro["uracam_schedule_loop"] = uracam_array
-    micro["uracam_schedule_loop_reference"] = uracam_reference
+    micro["uracam_schedule_loop"] = _engine_stage(
+        UracamScheduler, four64, _URACAM_ENGINE_BASKET
+    )
 
     timings = extended_parallel_timings
     schedules = [
@@ -330,7 +305,7 @@ def test_emit_bench_schedule_json(suite, big_suite, extended_parallel_timings):
     }
 
     payload = {
-        "schema": "repro-bench/v7",
+        "schema": "repro-bench/v8",
         "table2": {
             config: dict(result.seconds[config]) for config in result.configs
         },
@@ -369,9 +344,11 @@ def test_emit_bench_schedule_json(suite, big_suite, extended_parallel_timings):
         "ii_search": ii_search,
         "meta": {
             "rounds": _MICRO_ROUNDS,
-            "ab_rounds": {
-                "gp": sum(rounds for _, _, rounds in _GP_AB_BASKET),
-                "uracam": sum(rounds for _, _, rounds in _URACAM_AB_BASKET),
+            "engine_rounds": {
+                "gp": sum(rounds for _, _, rounds in _GP_ENGINE_BASKET),
+                "uracam": sum(
+                    rounds for _, _, rounds in _URACAM_ENGINE_BASKET
+                ),
             },
             "suite_benchmarks": len(suite),
         },

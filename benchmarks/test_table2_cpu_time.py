@@ -8,13 +8,15 @@ exact ratio depends on how much of the runtime the partitioner itself
 costs in this pure-Python implementation.
 """
 
+import pytest
 from conftest import save_artifact
 
 from repro.eval.figures import table2
 from repro.machine.presets import four_cluster, two_cluster
 
 
-def test_table2_cpu_time(benchmark, suite, results_dir):
+@pytest.mark.timing_artifact
+def test_table2_cpu_time(benchmark, suite, results_dir, pytestconfig):
     machines = [
         two_cluster(32),
         two_cluster(64),
@@ -24,7 +26,10 @@ def test_table2_cpu_time(benchmark, suite, results_dir):
     result = benchmark.pedantic(
         table2, args=(suite, machines), rounds=1, iterations=1
     )
-    save_artifact(results_dir, "table2_cpu_time.txt", result.render())
+    save_artifact(
+        results_dir, "table2_cpu_time.txt", result.render(),
+        timed_by=pytestconfig,
+    )
 
     # URACAM must be the most time-consuming approach on the stressed
     # 4-cluster machines, where it evaluates 4x the placements.  (Wall-time

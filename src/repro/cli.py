@@ -184,24 +184,16 @@ def _cache_stats_line(service: ReproService) -> str:
 def _suite_engine_options(args: argparse.Namespace):
     """EngineOptions for a suite command, or None when all-defaults.
 
-    Folds ``--verify`` (evaluate only) and the ``--no-array-kernels``
-    A/B knob into one explicit options object — requests reject
-    ``verify`` and ``options`` together, so the paranoid flags must ride
-    in the same EngineOptions as the kernel toggle.
-    Returns None when nothing deviates from the defaults, keeping
-    default invocations' request fingerprints (and store keys) stable.
+    Only ``--verify`` (evaluate only) deviates from the defaults; it turns
+    on the engine's pressure cross-checks and full-recheck validation.
+    Returning None otherwise keeps default invocations' request
+    fingerprints (and store keys) stable.
     """
     from .schedule.engine import EngineOptions
 
-    verify = getattr(args, "verify", False)
-    array_kernels = getattr(args, "array_kernels", True)
-    if not verify and array_kernels:
+    if not getattr(args, "verify", False):
         return None
-    return EngineOptions(
-        verify_pressure=verify,
-        validate_schedules=verify,
-        array_kernels=array_kernels,
-    )
+    return EngineOptions(verify_pressure=True, validate_schedules=True)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -345,7 +337,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"suite wall clock: {wall_seconds:.2f}s (jobs={jobs})")
     if args.json:
         payload = {
-            "schema": "repro-bench-cli/v6",
+            "schema": "repro-bench-cli/v7",
             "machine": config,
             "suite": args.suite,
             "benchmarks": len(suite),
@@ -353,9 +345,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "jobs": jobs,
             "cpu_count": os.cpu_count(),
             "oversubscribed": oversubscribed,
-            "engine_options": {
-                "array_kernels": getattr(args, "array_kernels", True),
-            },
             "cpu_seconds_per_benchmark": dict(per),
             "wall_seconds": wall_seconds,
             # What the fault-tolerance layer had to do during the run
@@ -496,11 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "'disk' (the default cache root), 'disk:PATH' or "
                        "a bare path; identical requests replay from the "
                        "store byte-identically across invocations")
-        p.add_argument("--no-array-kernels", dest="array_kernels",
-                       action="store_false",
-                       help="force the pure dict/list reference hot path "
-                       "instead of the flat-array kernels (results are "
-                       "bit-identical under either; A/B smoke knob)")
 
     p_eval = sub.add_parser("evaluate", help="run a figure panel")
     p_eval.add_argument("--clusters", type=int, default=2, choices=(2, 4))

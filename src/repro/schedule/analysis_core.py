@@ -4,14 +4,13 @@ One :class:`ScheduleAnalysis` session owns everything the register model
 of the paper needs: the *value ledger* (producer uid ->
 :class:`~repro.schedule.values.ValueState`), the per-value
 :class:`~repro.schedule.lifetimes.LiveSegment` lists derived from it, the
-per-cluster pressure ring (``counts[cluster][m]`` — live values at each of
-the II kernel cycles) and the running register-cycle totals.  Every
-consumer of the MaxLives register model goes through this session:
+per-cluster pressure rings (live values at each of the II kernel cycles)
+and the running register-cycle totals.  Every consumer of the MaxLives
+register model goes through this session:
 
 * the **scheduling engine** creates one per attempt and maintains it by
-  delta as values are committed, mutated and spilled (this is the
-  ``PressureTracker`` role: O(routes) candidate previews via
-  :meth:`preview_effect`);
+  delta as values are committed, mutated and spilled, with O(routes)
+  candidate previews via :meth:`preview_effect`;
 * the **finished schedule** carries the very same session
   (:meth:`~repro.schedule.result.ModuloSchedule.attach_analysis`), so the
   independent validator and the evaluation metrics read cached peaks and
@@ -19,6 +18,12 @@ consumer of the MaxLives register model goes through this session:
 * schedules built *without* an engine (deserialized, hand-made, mutated by
   tests) lazily build their session from the raw ledger via
   :meth:`from_values`.
+
+The rings of all clusters live in one flat list (cluster ``c`` at
+``[c * II, (c + 1) * II)``) updated by :func:`add_segment_flat`, because
+the engine previews thousands of candidates per loop and a flat slice copy
+is cheaper than a list of lists; :attr:`ScheduleAnalysis.counts` returns
+the reference list-of-lists shape for comparisons.
 
 The pure functions in :mod:`repro.schedule.lifetimes` and
 :mod:`repro.schedule.values` stay the reference implementation.  The
@@ -40,13 +45,38 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .lifetimes import (
-    LiveSegment,
-    add_segment_to_ring,
-    pressure_by_cycle,
-    register_cycles,
-)
+from .lifetimes import LiveSegment, pressure_by_cycle, register_cycles
 from .values import ValueState, segments_of_value, value_segments
+
+
+def add_segment_flat(
+    buf, base: int, birth: int, length: int, ii: int, sign: int
+) -> None:
+    """:func:`~repro.schedule.lifetimes.add_segment_to_ring` on a flat ring.
+
+    Operates on ``buf[base : base + ii]`` and adds exactly what the
+    reference adds: ``sign * (length // ii)`` to every kernel cycle, plus
+    ``sign`` to the ``length % ii`` cycles starting at ``birth % ii``.
+    The remainder run is split at the ring's wrap point instead of paying
+    the reference's per-element modulo — same cells, same totals.
+    """
+    whole, rem = divmod(length, ii)
+    if whole:
+        add = sign * whole
+        for m in range(base, base + ii):
+            buf[m] += add
+    if rem:
+        start = base + birth % ii
+        end = start + rem
+        top = base + ii
+        if end <= top:
+            for m in range(start, end):
+                buf[m] += sign
+        else:
+            for m in range(start, top):
+                buf[m] += sign
+            for m in range(base, end - ii):
+                buf[m] += sign
 
 
 class ScheduleAnalysis:
@@ -54,7 +84,7 @@ class ScheduleAnalysis:
 
     Maintains, by exact-inverse integer deltas:
 
-    * ``counts[cluster][m]`` — the per-cluster pressure ring (exactly
+    * the per-cluster pressure rings (:attr:`counts` is exactly
       :func:`~repro.schedule.lifetimes.pressure_by_cycle` of the tracked
       values);
     * ``reg_cycles[cluster]`` — running register-cycle totals (exactly
@@ -76,7 +106,8 @@ class ScheduleAnalysis:
     ) -> None:
         self.ii = ii
         self.num_clusters = num_clusters
-        self._init_rings()
+        # Live values of cluster c at kernel cycle m sit at c * ii + m.
+        self._ring: List[int] = [0] * (num_clusters * ii)
         #: Running register-cycle totals per cluster.
         self.reg_cycles: List[int] = [0] * num_clusters
         # producer uid -> the segment list currently folded into the rings.
@@ -100,27 +131,25 @@ class ScheduleAnalysis:
         """Build a session from a raw value ledger (the reference path)."""
         return cls(ii, num_clusters, values=dict(values))
 
-    def _init_rings(self) -> None:
-        """Allocate the pressure-ring storage.
-
-        Split out of ``__init__`` so a subclass with a different ring
-        layout (the flat-array kernels) can swap the storage without
-        touching the ledger bookkeeping.
-        """
-        #: counts[cluster][m] — live values at kernel cycle ``m``.
-        self.counts: List[List[int]] = [
-            [0] * self.ii for _ in range(self.num_clusters)
-        ]
+    @property
+    def counts(self) -> List[List[int]]:
+        """``counts[cluster][m]`` — live values at kernel cycle ``m`` (copies)."""
+        ii = self.ii
+        ring = self._ring
+        return [ring[c * ii : (c + 1) * ii] for c in range(self.num_clusters)]
 
     # ------------------------------------------------------------------
     # Ring arithmetic
     # ------------------------------------------------------------------
     def _apply(self, segments: Iterable[LiveSegment], sign: int) -> None:
         ii = self.ii
+        ring = self._ring
+        reg_cycles = self.reg_cycles
         for seg in segments:
             length = seg.length
-            add_segment_to_ring(self.counts[seg.cluster], seg.birth, length, ii, sign)
-            self.reg_cycles[seg.cluster] += sign * length
+            cluster = seg.cluster
+            add_segment_flat(ring, cluster * ii, seg.birth, length, ii, sign)
+            reg_cycles[cluster] += sign * length
 
     # ------------------------------------------------------------------
     # Ledger maintenance
@@ -193,16 +222,17 @@ class ScheduleAnalysis:
         ii = self.ii
         delta = [0] * self.num_clusters
         rows: Dict[int, List[int]] = {}
-        counts = self.counts
+        ring = self._ring
         for segments, sign in changes:
             for seg in segments:
                 cluster = seg.cluster
                 row = rows.get(cluster)
                 if row is None:
-                    row = counts[cluster][:]
+                    base = cluster * ii
+                    row = ring[base : base + ii]
                     rows[cluster] = row
                 length = seg.length
-                add_segment_to_ring(row, seg.birth, length, ii, sign)
+                add_segment_flat(row, 0, seg.birth, length, ii, sign)
                 delta[cluster] += sign * length
         for cluster in range(self.num_clusters):
             row = rows.get(cluster)
@@ -216,16 +246,19 @@ class ScheduleAnalysis:
     # ------------------------------------------------------------------
     def peaks(self) -> List[int]:
         """MaxLives per cluster of the tracked state."""
-        return [max(row) if row else 0 for row in self.counts]
+        ii = self.ii
+        ring = self._ring
+        return [max(ring[c * ii : (c + 1) * ii]) for c in range(self.num_clusters)]
 
     #: Alias matching the reference function's name.
     max_live = peaks
 
     def fits(self, registers: Sequence[int]) -> bool:
         """True if every cluster's peak is within its register file."""
-        counts = self.counts
+        ii = self.ii
+        ring = self._ring
         for cluster in range(self.num_clusters):
-            if max(counts[cluster], default=0) > registers[cluster]:
+            if max(ring[cluster * ii : (cluster + 1) * ii]) > registers[cluster]:
                 return False
         return True
 
@@ -241,7 +274,7 @@ class ScheduleAnalysis:
         return (
             self.ii == other.ii
             and self.num_clusters == other.num_clusters
-            and self.counts == other.counts
+            and self._ring == other._ring
             and self.reg_cycles == other.reg_cycles
             and set(self._segments) == set(other._segments)
         )

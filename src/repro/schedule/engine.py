@@ -38,13 +38,12 @@ the engine keeps two implementations of the register accounting:
   :mod:`~repro.schedule.lifetimes` — recomputes the full lifetime picture
   from the value states.  It stays the validator's source of truth and is
   what the independent schedule validation uses.
-* The **incremental** path — :class:`~repro.schedule.pressure.PressureTracker`
-  (the engine-facing name of the shared
+* The **incremental** path — the shared
   :class:`~repro.schedule.analysis_core.ScheduleAnalysis` session, which
   the finished :class:`~repro.schedule.result.ModuloSchedule` then carries
-  for its validator and the eval metrics) — mirrors the committed values
-  with a per-cluster pressure ring (``counts[cluster][m]`` over the II
-  kernel cycles) and running register-cycle totals.  A candidate evaluation applies only the *delta
+  for its validator and the eval metrics — mirrors the committed values
+  with a per-cluster pressure ring over the II kernel cycles and running
+  register-cycle totals.  A candidate evaluation applies only the *delta
   segments* of the values its routes touch (plus the would-be new value),
   reads the ring peaks and totals, and rolls the delta back exactly —
   O(routes) instead of O(all values) per candidate.  Commits, spills
@@ -54,7 +53,7 @@ the engine keeps two implementations of the register accounting:
 ``EngineOptions.verify_pressure`` is the escape hatch: when set, the
 engine cross-checks the tracker against the reference functions after
 every commit, spill and candidate rollback
-(:meth:`~repro.schedule.pressure.PressureTracker.verify`).  The
+(:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.verify`).  The
 equivalence tests run whole schedules in this mode.
 """
 
@@ -68,9 +67,9 @@ from ..ir.ddg import DepKind
 from ..ir.loop import Loop
 from ..ir.opcodes import OpClass
 from ..machine.config import MachineConfig
-from .arraykernels import make_reservation_table, make_tracker
+from .analysis_core import ScheduleAnalysis
 from .merit import DEFAULT_THRESHOLD, MeritVector, compare, consumption
-from .mrt import FUSlot, Overlay
+from .mrt import FUSlot, Overlay, ReservationTable
 from .ordering import sms_order
 from .result import AuxOp, ModuloSchedule, Placed, ScheduleStats
 from .structural_core import StructuralAnalysis, count_edges
@@ -228,13 +227,6 @@ class EngineOptions:
     #: window rescan of later rounds.  Behaviour-preserving by
     #: construction; the equivalence tests A/B this knob.
     feas_cache: bool = True
-    #: Back the reservation table and the pressure tracker with the
-    #: flat-array kernels (:mod:`~repro.schedule.arraykernels`) instead of
-    #: the reference dict/list structures.  Pure storage-layout swap — the
-    #: arithmetic is shared — so schedules are bit-identical either way
-    #: (the A/B property tests assert it); ``False`` forces the pure
-    #: dict/list reference path.
-    array_kernels: bool = True
     #: Cross-check the incremental pressure tracker against the reference
     #: recompute after every commit, spill and candidate rollback, and the
     #: structural (reservation-table) handover against the reference
@@ -264,9 +256,7 @@ class SchedulingEngine:
         self.policy = policy
         self.options = options or EngineOptions()
         self.ddg = loop.ddg
-        self.table = make_reservation_table(
-            machine, ii, self.options.array_kernels
-        )
+        self.table = ReservationTable(machine, ii)
         self.placements: Dict[int, Placed] = {}
         self.aux_ops: List[AuxOp] = []
         self.stats = ScheduleStats()
@@ -279,9 +269,7 @@ class SchedulingEngine:
         # The analysis session owns the value ledger; on success the very
         # same session is attached to the ModuloSchedule so the validator
         # and the evaluation metrics reuse its segments and rings.
-        self.pressure = make_tracker(
-            ii, machine.num_clusters, self.options.array_kernels
-        )
+        self.pressure = ScheduleAnalysis(ii, machine.num_clusters)
         self.values: Dict[int, ValueState] = self.pressure.values
         self._registers = [
             machine.cluster(c).registers for c in range(machine.num_clusters)

@@ -14,9 +14,11 @@ value exists at least until the writeback).
 These pure functions are the *reference* accounting.  The incremental
 mirror every hot path uses — and the one finished schedules carry for
 their validator and metrics — is the
-:class:`~repro.schedule.analysis_core.ScheduleAnalysis` session, which
-goes through :func:`add_segment_to_ring` below for all of its ring
-arithmetic so the two cannot drift apart.
+:class:`~repro.schedule.analysis_core.ScheduleAnalysis` session.  Its
+flat-ring update (:func:`~repro.schedule.analysis_core.add_segment_flat`)
+adds exactly what :func:`add_segment_to_ring` below adds, a property the
+equivalence tests check, and ``ScheduleAnalysis.verify()`` compares its
+rings against :func:`pressure_by_cycle`.
 """
 
 from __future__ import annotations
@@ -53,10 +55,11 @@ def add_segment_to_ring(
     """Add (``sign=+1``) or remove (``sign=-1``) one segment's live counts
     from a kernel-cycle ring ``row`` of length ``ii``.
 
-    This is the single definition of the per-cycle accounting arithmetic;
-    both the reference recompute (:func:`pressure_by_cycle`) and the
-    incremental tracker (:mod:`repro.schedule.pressure`) go through it, so
-    they cannot drift apart.
+    This is the reference definition of the per-cycle accounting
+    arithmetic: the reference recompute (:func:`pressure_by_cycle`) goes
+    through it, and the incremental session's flat-ring update
+    (:func:`repro.schedule.analysis_core.add_segment_flat`) is tested
+    against it.
     """
     whole, rem = divmod(length, ii)
     if whole:

@@ -12,6 +12,21 @@ All machine resources are tracked modulo the initiation interval:
 
 Candidate evaluation must not disturb the table, so reservations can be
 staged in an :class:`Overlay` and committed only once a candidate wins.
+
+The state is kept in flat integer lists indexed by plain arithmetic, because
+the engine's free-slot and bus probes run millions of times per sweep and
+tuple keys would cost an allocation plus an ``Enum.__hash__`` call each:
+
+* FU occupancy is one list of ``clusters x classes x II`` counts; the row of
+  (cluster, class) starts at ``(cluster * len(OpClass) + op_class.index) * II``;
+* the bus ledger is a ``bytearray`` of ``buses x II`` busy flags (row base
+  ``bus * II``);
+* the per-(cluster, class) running totals are one flat counter list.
+
+:class:`Overlay` keys are the same flat indexes.  The from-scratch sweeps in
+:mod:`~repro.schedule.structural_core` stay the reference: the occupancy-row
+handover normalizes back to their exact shape, and
+``validate(full_recheck=True)`` compares the two.
 """
 
 from __future__ import annotations
@@ -21,6 +36,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir.opcodes import OpClass
 from ..machine.config import MachineConfig
+
+#: Row stride of the flat FU layout: one row per (cluster, class).
+_N_CLASSES = len(OpClass)
 
 
 @dataclass(frozen=True)
@@ -49,43 +67,28 @@ class ReservationTable:
             raise ValueError("initiation interval must be >= 1")
         self.machine = machine
         self.ii = ii
-        # (bus, kernel cycle) -> busy
-        self._bus_used: Dict[Tuple[int, int], bool] = {}
+        self._num_clusters = machine.num_clusters
+        self._num_buses = machine.num_buses
+        rows = self._num_clusters * _N_CLASSES
+        # Capacities are immutable per machine; resolve them once, by row.
+        self._cap = [
+            machine.cluster(cluster).units_for_class(op_class)
+            for cluster in range(self._num_clusters)
+            for op_class in OpClass
+        ]
+        self._fu = [0] * (rows * ii)
+        self._bus = bytearray(self._num_buses * ii)
         # Running utilization counters, maintained by reserve/release so the
         # per-candidate figure of merit never scans the used-slot state.
-        self._fu_class_used: Dict[Tuple[int, OpClass], int] = {}
+        self._class_used = [0] * rows
         self._bus_cycles_in_use = 0
-        # Capacities are immutable per machine; resolve them once.
-        self._capacity: Dict[Tuple[int, OpClass], int] = {
-            (cluster, op_class): machine.cluster(cluster).units_for_class(op_class)
-            for cluster in range(machine.num_clusters)
-            for op_class in OpClass
-        }
-        # (cluster, op_class) -> [capacity, used@cycle0, ..., used@cycleII-1].
-        # One dict hit resolves both the capacity and the per-cycle count in
-        # the free-slot check, the engine's innermost resource test.
-        self._fu_state: Dict[Tuple[int, OpClass], List[int]] = {
-            key: [cap] + [0] * ii for key, cap in self._capacity.items()
-        }
-
-    # -- overlay key construction ------------------------------------------
-    # Overlays stage reservations in dicts keyed by whatever the table
-    # hands out here, so a subclass with a different storage layout (the
-    # flat-array kernels key by integer index) changes the key shape in
-    # one place and every overlay probe follows.
-    def _fu_key(self, cluster: int, op_class: OpClass, m: int):
-        return (cluster, op_class, m)
-
-    def _bus_key(self, bus: int, cycle: int):
-        return (bus, cycle)
 
     # -- functional units ------------------------------------------------
     def fu_capacity(self, cluster: int, op_class: OpClass) -> int:
-        try:
-            return self._capacity[(cluster, op_class)]
-        except KeyError:
+        if not 0 <= cluster < self._num_clusters:
             # Out-of-range cluster: surface the machine's ConfigError.
-            return self.machine.cluster(cluster).units_for_class(op_class)
+            self.machine.cluster(cluster)
+        return self._cap[cluster * _N_CLASSES + op_class.index]
 
     def fu_free(self, slot: FUSlot, overlay: "Optional[Overlay]" = None) -> bool:
         """True if one more op of the class can issue at the slot's cycle."""
@@ -100,31 +103,27 @@ class ReservationTable:
     ) -> bool:
         """:meth:`fu_free` without requiring a FUSlot — the engine's slot
         scans call this once per candidate cycle."""
-        m = cycle % self.ii
-        try:
-            state = self._fu_state[(cluster, op_class)]
-        except KeyError:
-            # Out-of-range cluster: surface the machine's ConfigError.
+        if not 0 <= cluster < self._num_clusters:
             self.machine.cluster(cluster)
-            raise
-        used = state[1 + m]
+        ii = self.ii
+        row = cluster * _N_CLASSES + op_class.index
+        idx = row * ii + cycle % ii
+        used = self._fu[idx]
         if overlay is not None:
-            used += overlay.fu_pending((cluster, op_class, m))
-        return used < state[0]
+            pending = overlay._fu.get(idx)
+            if pending:
+                used += pending
+        return used < self._cap[row]
 
     def reserve_fu(self, slot: FUSlot) -> None:
-        ckey = (slot.cluster, slot.op_class)
-        self._fu_state[ckey][1 + slot.cycle % self.ii] += 1
-        self._fu_class_used[ckey] = self._fu_class_used.get(ckey, 0) + 1
+        row = slot.cluster * _N_CLASSES + slot.op_class.index
+        self._fu[row * self.ii + slot.cycle % self.ii] += 1
+        self._class_used[row] += 1
 
     def release_fu(self, slot: FUSlot) -> None:
-        ckey = (slot.cluster, slot.op_class)
-        self._fu_state[ckey][1 + slot.cycle % self.ii] -= 1
-        remaining = self._fu_class_used.get(ckey, 0) - 1
-        if remaining > 0:
-            self._fu_class_used[ckey] = remaining
-        else:
-            self._fu_class_used.pop(ckey, None)
+        row = slot.cluster * _N_CLASSES + slot.op_class.index
+        self._fu[row * self.ii + slot.cycle % self.ii] -= 1
+        self._class_used[row] -= 1
 
     # -- buses -------------------------------------------------------------
     def bus_cycles(self, slot: BusSlot) -> Optional[List[int]]:
@@ -142,11 +141,14 @@ class ReservationTable:
         cycles = self.bus_cycles(slot)
         if cycles is None:
             return False
+        base = slot.bus * self.ii
+        bus = self._bus
+        pending = overlay._bus if overlay is not None else None
         for cycle in cycles:
-            key = (slot.bus, cycle)
-            if self._bus_used.get(key, False):
+            idx = base + cycle
+            if bus[idx]:
                 return False
-            if overlay is not None and overlay.bus_pending(key):
+            if pending is not None and idx in pending:
                 return False
         return True
 
@@ -164,25 +166,41 @@ class ReservationTable:
         """
         if latest_start < earliest:
             return None
-        limit = min(latest_start, earliest + self.ii - 1)
+        ii = self.ii
+        num_buses = self._num_buses
+        if self._bus_cycles_in_use >= num_buses * ii:
+            # Saturated ledger: every (bus, kernel-cycle) pair is taken, and
+            # an overlay only adds occupancy, so no scan can succeed.  This
+            # O(1) exit retires the full II x buses scan that otherwise runs
+            # (and fails) for every cross-cluster route once the single bus
+            # of the paper's machines fills up.
+            return None
+        limit = min(latest_start, earliest + ii - 1)
+        bus = self._bus
+        pending = overlay._bus if overlay is not None else None
         if length == 1:
-            # Single-cycle transfers (latency-1 bus): skip the generic
-            # occupancy-list machinery in the scan, the engine's hottest
-            # bus query.
-            bus_used = self._bus_used
+            # Single-cycle transfers (latency-1 bus), the engine's hottest
+            # bus query: probe the flat ledger directly.
+            if num_buses == 1:
+                # Single-bus machines (all Table 1 configurations): the
+                # flat index *is* the kernel cycle.
+                for start in range(earliest, limit + 1):
+                    idx = start % ii
+                    if bus[idx] or (pending is not None and idx in pending):
+                        continue
+                    return BusSlot(bus=0, start=start, length=1)
+                return None
             for start in range(earliest, limit + 1):
-                cycle = start % self.ii
-                for bus in range(self.machine.num_buses):
-                    key = (bus, cycle)
-                    if bus_used.get(key, False):
+                cycle = start % ii
+                for b in range(num_buses):
+                    idx = b * ii + cycle
+                    if bus[idx] or (pending is not None and idx in pending):
                         continue
-                    if overlay is not None and overlay.bus_pending(key):
-                        continue
-                    return BusSlot(bus=bus, start=start, length=1)
+                    return BusSlot(bus=b, start=start, length=1)
             return None
         for start in range(earliest, limit + 1):
-            for bus in range(self.machine.num_buses):
-                slot = BusSlot(bus=bus, start=start, length=length)
+            for b in range(num_buses):
+                slot = BusSlot(bus=b, start=start, length=length)
                 if self.bus_free(slot, overlay):
                     return slot
         return None
@@ -191,15 +209,21 @@ class ReservationTable:
         cycles = self.bus_cycles(slot)
         if cycles is None:
             raise ValueError("cannot reserve a self-overlapping bus transfer")
+        base = slot.bus * self.ii
+        bus = self._bus
         for cycle in cycles:
-            key = (slot.bus, cycle)
-            if not self._bus_used.get(key, False):
+            idx = base + cycle
+            if not bus[idx]:
                 self._bus_cycles_in_use += 1
-            self._bus_used[key] = True
+            bus[idx] = 1
 
     def release_bus(self, slot: BusSlot) -> None:
+        base = slot.bus * self.ii
+        bus = self._bus
         for cycle in self.bus_cycles(slot) or []:
-            if self._bus_used.pop((slot.bus, cycle), False):
+            idx = base + cycle
+            if bus[idx]:
+                bus[idx] = 0
                 self._bus_cycles_in_use -= 1
 
     # -- structural handover (for the StructuralAnalysis session) ---------
@@ -207,32 +231,35 @@ class ReservationTable:
         """Copies of the nonzero per-(cluster, class) occupancy rows.
 
         Normalized exactly like the reference sweep
-        (:func:`~repro.schedule.structural_core.fu_usage_rows`): the
-        capacity slot is stripped and untouched rows are omitted, so the
-        engine's handed-over session compares equal to a from-scratch
-        rebuild of the same schedule.
+        (:func:`~repro.schedule.structural_core.fu_usage_rows`): untouched
+        rows are omitted, so the engine's handed-over session compares
+        equal to a from-scratch rebuild of the same schedule.
         """
-        return {
-            key: state[1:]
-            for key, state in self._fu_state.items()
-            if any(state[1:])
-        }
+        rows: Dict[Tuple[int, OpClass], List[int]] = {}
+        ii = self.ii
+        for cluster in range(self._num_clusters):
+            for op_class in OpClass:
+                base = (cluster * _N_CLASSES + op_class.index) * ii
+                row = self._fu[base : base + ii]
+                if any(row):
+                    rows[(cluster, op_class)] = row
+        return rows
 
     def bus_occupancy_rows(self) -> Dict[int, List[int]]:
         """Per-bus occupancy counts over the kernel cycles (copies)."""
         rows: Dict[int, List[int]] = {}
-        for (bus, cycle), used in self._bus_used.items():
-            if not used:
-                continue
-            row = rows.get(bus)
-            if row is None:
-                row = rows[bus] = [0] * self.ii
-            row[cycle] += 1
+        ii = self.ii
+        for bus in range(self._num_buses):
+            row = list(self._bus[bus * ii : (bus + 1) * ii])
+            if any(row):
+                rows[bus] = row
         return rows
 
     # -- utilization (for the figure of merit) ----------------------------
     def fu_slots_used(self, cluster: int, op_class: OpClass) -> int:
-        return self._fu_class_used.get((cluster, op_class), 0)
+        if not 0 <= cluster < self._num_clusters:
+            return 0
+        return self._class_used[cluster * _N_CLASSES + op_class.index]
 
     def fu_slots_total(self, cluster: int, op_class: OpClass) -> int:
         return self.fu_capacity(cluster, op_class) * self.ii
@@ -241,7 +268,7 @@ class ReservationTable:
         return self._bus_cycles_in_use
 
     def bus_cycles_total(self) -> int:
-        return self.machine.num_buses * self.ii
+        return self._num_buses * self.ii
 
 
 class Overlay:
@@ -249,29 +276,19 @@ class Overlay:
 
     Candidate evaluation adds its would-be reservations here so that later
     checks within the same candidate see them, without mutating the table.
+    Both maps are keyed by the table's flat indexes.
     """
 
     def __init__(self, table: ReservationTable) -> None:
         self.table = table
-        # Keys are whatever ``table._fu_key``/``table._bus_key`` construct:
-        # tuples for the reference table, flat integer indexes for the
-        # array-kernel table.
-        self._fu: Dict[object, int] = {}
-        self._bus: Dict[object, bool] = {}
+        self._fu: Dict[int, int] = {}
+        self._bus: Dict[int, bool] = {}
         self.fu_slots: List[FUSlot] = []
         self.bus_slots: List[BusSlot] = []
 
-    def fu_pending(self, key) -> int:
-        """Pending issue count for a table-constructed FU key."""
-        return self._fu.get(key, 0)
-
-    def bus_pending(self, key) -> bool:
-        """True if a table-constructed bus key is staged here."""
-        return self._bus.get(key, False)
-
     def add_fu(self, slot: FUSlot) -> None:
-        table = self.table
-        key = table._fu_key(slot.cluster, slot.op_class, slot.cycle % table.ii)
+        ii = self.table.ii
+        key = (slot.cluster * _N_CLASSES + slot.op_class.index) * ii + slot.cycle % ii
         self._fu[key] = self._fu.get(key, 0) + 1
         self.fu_slots.append(slot)
 
@@ -283,8 +300,9 @@ class Overlay:
             # anyway would make a later commit() blow up mid-way, after some
             # reservations already landed in the table.
             raise ValueError("cannot stage a self-overlapping bus transfer")
+        base = slot.bus * table.ii
         for cycle in cycles:
-            self._bus[table._bus_key(slot.bus, cycle)] = True
+            self._bus[base + cycle] = True
         self.bus_slots.append(slot)
 
     def commit(self) -> None:

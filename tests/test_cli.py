@@ -118,12 +118,12 @@ class TestCommands:
         )
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-bench-cli/v6"
+        assert payload["schema"] == "repro-bench-cli/v7"
         assert payload["suite"] == "paper"
         assert "wire" not in payload
         assert payload["jobs"] == 1
         assert payload["oversubscribed"] is False
-        assert payload["engine_options"] == {"array_kernels": True}
+        assert "engine_options" not in payload
         assert "profile" not in payload
         assert payload["wall_seconds"] > 0
         assert set(payload["cpu_seconds_per_benchmark"]) == {
@@ -157,13 +157,6 @@ class TestCommands:
         # The profile is sorted by cumulative time, schedulers on top.
         cumtimes = [entry["cumtime"] for entry in profile["top"]]
         assert cumtimes == sorted(cumtimes, reverse=True)
-
-    def test_evaluate_no_array_kernels_matches_default(self, capsys):
-        argv = ["evaluate", "--programs", "1", "--format", "csv"]
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        assert main(argv + ["--no-array-kernels"]) == 0
-        assert capsys.readouterr().out == default
 
     def test_bench_warns_when_jobs_oversubscribe_host(self, tmp_path, capsys):
         import os

@@ -120,3 +120,41 @@ class TestOutcomeAccounting:
         machine = unified(64)
         outcome = UracamScheduler(machine).schedule(daxpy())
         assert outcome.schedule.stats.ii_attempts >= 1
+
+
+#: Spill-heavy shape on a small register file: multi-attempt II searches.
+SPILL_SHAPE = LoopShape(
+    40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
+)
+
+
+def test_ii_trace_records_strictly_escalating_search():
+    """The driver's II search only ever raises the II: the trace holds
+    one entry per attempt, strictly increasing."""
+    for seed in range(3):
+        outcome = GPScheduler(four_cluster(16)).schedule(
+            generate_loop("stock-search", SPILL_SHAPE, seed)
+        )
+        if not outcome.is_modulo:
+            continue
+        stats = outcome.schedule.stats
+        assert len(stats.ii_trace) == stats.ii_attempts
+        assert list(stats.ii_trace) == sorted(set(stats.ii_trace))
+
+
+def test_ii_search_stats_aggregation():
+    from repro.eval.metrics import ii_search_stats
+
+    outcomes = [
+        GPScheduler(four_cluster(16)).schedule(
+            generate_loop("iis", SPILL_SHAPE, seed)
+        )
+        for seed in range(3)
+    ]
+    stats = ii_search_stats(outcomes)
+    modulo = [o for o in outcomes if o.is_modulo]
+    assert stats["attempts"] == sum(
+        o.schedule.stats.ii_attempts for o in modulo
+    )
+    assert sum(stats["per_ii_attempts"].values()) == stats["attempts"]
+    assert set(stats) == {"attempts", "per_ii_attempts"}

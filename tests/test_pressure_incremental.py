@@ -6,27 +6,37 @@ transfer-pair communication state).  The pure functions they mirror stay
 the reference implementation; these tests assert the two never diverge:
 
 * whole schedules run with ``EngineOptions.verify_pressure``, which makes
-  the engine cross-check the :class:`PressureTracker` against
+  the engine cross-check its :class:`ScheduleAnalysis` session against
   ``value_segments`` + ``pressure_by_cycle`` + ``register_cycles`` after
   every commit, every spill and every candidate rollback;
 * randomized move sequences drive a :class:`CommState` session and its
   previews against fresh full-sweep derivations;
-* the tracker's candidate preview is checked against mutate-then-rollback.
+* the session's candidate preview is checked against mutate-then-rollback;
+* the flat ring arithmetic (:func:`add_segment_flat`) is checked against
+  :func:`add_segment_to_ring`, and ``validate(full_recheck=True)`` catches
+  a corrupted flat ring or corrupted handed-over occupancy rows.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ValidationError
 from repro.machine.presets import four_cluster, two_cluster
 from repro.partition.estimator import CommState, PartitionEstimator
 from repro.schedule.drivers import GPScheduler, UracamScheduler
+from repro.schedule.analysis_core import ScheduleAnalysis, add_segment_flat
 from repro.schedule.engine import EngineOptions
-from repro.schedule.lifetimes import max_live, pressure_by_cycle, register_cycles
+from repro.schedule.lifetimes import (
+    add_segment_to_ring,
+    max_live,
+    pressure_by_cycle,
+    register_cycles,
+)
 from repro.schedule.mii import mii
-from repro.schedule.pressure import PressurePreview, PressureTracker
 from repro.schedule.values import BusTransfer, Use, ValueState, value_segments
 from repro.schedule.mrt import BusSlot
 from repro.workloads.generator import LoopShape, generate_loop
@@ -43,6 +53,11 @@ loop_shapes = st.builds(
 seeds = st.integers(min_value=0, max_value=10_000)
 
 VERIFYING = EngineOptions(verify_pressure=True)
+
+#: Spill-heavy shape: forces spill rounds and cross-cluster communication.
+SPILL_SHAPE = LoopShape(
+    40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
+)
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +131,7 @@ def _random_value(rng: random.Random, producer: int, clusters: int, ii: int) -> 
 )
 def test_tracker_matches_reference_under_random_mutations(seed, ii, clusters):
     rng = random.Random(seed)
-    tracker = PressureTracker(ii, clusters)
+    tracker = ScheduleAnalysis(ii, clusters)
     values = {}
     for producer in range(rng.randrange(1, 8)):
         value = _random_value(rng, producer, clusters, ii)
@@ -153,7 +168,7 @@ def test_tracker_matches_reference_under_random_mutations(seed, ii, clusters):
 )
 def test_preview_effect_equals_mutate_and_rollback(seed, ii, clusters):
     rng = random.Random(seed)
-    tracker = PressureTracker(ii, clusters)
+    tracker = ScheduleAnalysis(ii, clusters)
     values = [
         _random_value(rng, producer, clusters, ii) for producer in range(4)
     ]
@@ -178,17 +193,73 @@ def test_preview_effect_equals_mutate_and_rollback(seed, ii, clusters):
     # The preview must not have mutated anything.
     assert tracker.counts == before_counts
 
-    # Reference: apply for real, compare, roll back via PressurePreview.
+    # Reference: apply for real, compare, then roll back with the
+    # snapshot primitives.
     before_cycles = list(tracker.reg_cycles)
-    with PressurePreview(tracker) as preview:
-        preview.update(victim)
-        preview.track(new_value)
-        assert [
-            tracker.reg_cycles[c] - before_cycles[c] for c in range(clusters)
-        ] == delta
-        assert tracker.fits(registers) == fits
+    tracker.update(victim)
+    tracker.track(new_value)
+    assert [
+        tracker.reg_cycles[c] - before_cycles[c] for c in range(clusters)
+    ] == delta
+    assert tracker.fits(registers) == fits
+    tracker.forget(new_value.producer)
+    tracker.set_segments(victim.producer, old_segments)
     assert tracker.counts == before_counts
     assert tracker.reg_cycles == before_cycles
+
+
+# ----------------------------------------------------------------------
+# Flat ring layout
+# ----------------------------------------------------------------------
+def test_add_segment_flat_matches_reference_ring():
+    rng = random.Random(7)
+    for _ in range(200):
+        ii = rng.randint(1, 9)
+        clusters = rng.randint(1, 3)
+        flat = [0] * (clusters * ii)
+        rings = [[0] * ii for _ in range(clusters)]
+        for _ in range(rng.randint(1, 12)):
+            cluster = rng.randrange(clusters)
+            birth = rng.randint(0, 40)
+            length = rng.randint(1, 3 * ii)
+            sign = rng.choice((1, -1))
+            add_segment_flat(flat, cluster * ii, birth, length, ii, sign)
+            add_segment_to_ring(rings[cluster], birth, length, ii, sign)
+        for cluster in range(clusters):
+            assert flat[cluster * ii:(cluster + 1) * ii] == rings[cluster]
+
+
+def test_counts_property_matches_reference_shape():
+    tracker = ScheduleAnalysis(4, 2)
+    assert tracker.counts == [[0, 0, 0, 0], [0, 0, 0, 0]]
+    assert tracker.peaks() == [0, 0]
+
+
+def _engine_schedule():
+    outcome = GPScheduler(two_cluster(32)).schedule(
+        generate_loop("recheck", SPILL_SHAPE, seed=1)
+    )
+    assert outcome.is_modulo
+    return outcome.schedule
+
+
+def test_full_recheck_catches_corrupted_flat_ring():
+    # Corrupt the engine-attached session *before* the recheck: a passing
+    # full_recheck replaces the cached session with its rebuild.
+    sched = _engine_schedule()
+    sched._analysis._ring[0] += 1
+    with pytest.raises(ValidationError, match="diverged"):
+        sched.validate(full_recheck=True)
+
+
+def test_full_recheck_catches_corrupted_handover_rows():
+    sched = _engine_schedule()
+    session = sched._structural
+    assert session is not None
+    key = next(iter(session.fu_rows))
+    session.fu_rows[key][0] += 1
+    with pytest.raises(ValidationError, match="diverged"):
+        sched.validate(full_recheck=True)
 
 
 # ----------------------------------------------------------------------

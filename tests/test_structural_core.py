@@ -20,11 +20,13 @@ contracts enforced here:
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
+from repro.ir.opcodes import OpClass
 from repro.machine.presets import four_cluster, two_cluster
 from repro.schedule.drivers import (
     FixedPartitionScheduler,
@@ -409,3 +411,14 @@ def test_feasibility_cache_prunes_on_spill_heavy_loops():
             total_hits += outcome.schedule.stats.feas_cache_hits
             assert outcome.schedule.stats.feas_cache_scans > 0
     assert total_hits > 0
+
+
+def test_structural_analysis_normalizes_array_rows():
+    """Row handover accepts array-typed rows and stores plain-int lists."""
+    fu = {(0, OpClass.INT): array("q", [1, 0, 2])}
+    bus = {0: bytearray([1, 0, 1])}
+    session = StructuralAnalysis(3, fu, bus, dep_edges=0)
+    assert session.fu_rows[(0, OpClass.INT)] == [1, 0, 2]
+    assert type(session.fu_rows[(0, OpClass.INT)]) is list
+    assert session.bus_rows[0] == [1, 0, 1]
+    assert all(type(x) is int for x in session.bus_rows[0])
