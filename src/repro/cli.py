@@ -391,12 +391,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             if text is None:
                 continue
             try:
-                response = loads_response(text)
-                if response.meta.fingerprint != fingerprint:
-                    raise CodecError(
-                        f"entry {fingerprint[:12]} holds a response "
-                        f"fingerprinted {response.meta.fingerprint[:12]}"
-                    )
+                loads_response(text, fingerprint=fingerprint)
             except CodecError as error:
                 corrupt.append((fingerprint, str(error)))
                 if args.purge:

@@ -1,4 +1,4 @@
-"""Canonical JSON (de)serialization of service requests and responses.
+"""Canonical JSON (de)serialization of service responses.
 
 The **result store** persists encoded
 :class:`~repro.service.responses.EvaluationResponse` /
@@ -9,12 +9,12 @@ sorted keys, compact separators) — so re-encoding a decoded payload is
 byte-identical, which the round-trip property suite enforces and the
 store's integrity checks rely on.
 
-Requests are encoded *by content*: explicit loops serialize through
-:mod:`repro.ir.serialize`, explicit machines and engine options through
-their dataclass fields, so ``decode_request(encode_request(r))`` is a
-real, construction-validated request whose ``fingerprint()`` equals the
-original's — the property that makes the content-addressed store safe
-across processes and hosts.
+An entry is ``{schema, kind, meta, outcome | result}``: it holds **no
+request**.  Whoever looks an entry up already holds the request (its
+fingerprint is the store key) and answers with it, so no loop is ever
+deserialized on a store hit.  Passing the key as ``fingerprint`` binds
+the entry to it: an entry whose ``meta.fingerprint`` differs is
+rejected like any other damage.
 
 Responses are encoded as their **deterministic result surface**: per-loop
 dynamic-operation and cycle counts (the exact integers
@@ -29,7 +29,7 @@ exactly the surface the figures, tables, exports and metrics consume
 evaluation artifacts print renders byte-identically from a decoded
 response; re-deriving a kernel listing requires rescheduling.
 
-Malformed, truncated or wrong-schema payloads raise
+Malformed, truncated, wrong-schema or wrong-key payloads raise
 :class:`~repro.errors.CodecError`; the store converts that into a cache
 miss, never an error.
 """
@@ -37,24 +37,19 @@ miss, never an error.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import CodecError
 from ..eval.retry import ExecutionTelemetry, FailureReport, LoopFailure
 from ..eval.runner import BenchmarkResult, SuiteResult
-from ..ir.serialize import loop_from_dict, loop_to_dict
-from ..machine.config import ClusterConfig, MachineConfig
-from ..schedule.engine import EngineOptions
-from ..workloads.spec import Benchmark
-from .requests import EvaluationRequest, ScheduleRequest
 from .responses import EvaluationResponse, ResponseMeta, ScheduleResponse
 from .store import StoreTelemetry
 
 #: Schema tag carried on every encoded payload.  Bump on any change to
 #: the encoded shape; decoders reject every other version (the store
 #: then treats old entries as misses and overwrites them).
-CODEC_SCHEMA = "repro-codec/1"
+CODEC_SCHEMA = "repro-codec/2"
 
 
 def dumps(payload: Dict[str, Any]) -> str:
@@ -166,168 +161,6 @@ class StoredOutcome:
 
     def execution_cycles(self) -> int:
         return self.schedule.execution_cycles()
-
-
-# ----------------------------------------------------------------------
-# Machines, options, suites
-# ----------------------------------------------------------------------
-def _encode_machine(machine: Union[str, MachineConfig]) -> Any:
-    if isinstance(machine, str):
-        return machine
-    return asdict(machine)
-
-
-def _decode_machine(payload: Any) -> Union[str, MachineConfig]:
-    if isinstance(payload, str):
-        return payload
-    try:
-        return MachineConfig(
-            name=payload["name"],
-            clusters=tuple(
-                ClusterConfig(**cluster) for cluster in payload["clusters"]
-            ),
-            num_buses=payload["num_buses"],
-            bus_latency=payload["bus_latency"],
-        )
-    except (AttributeError, KeyError, TypeError) as error:
-        raise CodecError(f"malformed machine payload: {error}") from error
-
-
-def _encode_options(options: Optional[EngineOptions]) -> Any:
-    if options is None:
-        return None
-    payload = asdict(options)
-    per_cluster = payload.get("mem_ops_per_cluster")
-    if per_cluster is not None:
-        payload["mem_ops_per_cluster"] = {
-            str(k): v for k, v in per_cluster.items()
-        }
-    return payload
-
-
-def _decode_options(payload: Any) -> Optional[EngineOptions]:
-    if payload is None:
-        return None
-    try:
-        data = dict(payload)
-        known = {f.name for f in fields(EngineOptions)}
-        unknown = set(data) - known
-        if unknown:
-            raise CodecError(
-                f"unknown EngineOptions fields: {sorted(unknown)}"
-            )
-        per_cluster = data.get("mem_ops_per_cluster")
-        if per_cluster is not None:
-            data["mem_ops_per_cluster"] = {
-                int(k): v for k, v in per_cluster.items()
-            }
-        return EngineOptions(**data)
-    except CodecError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise CodecError(f"malformed EngineOptions payload: {error}") from error
-
-
-def _encode_suite(suite: Union[str, Tuple[Benchmark, ...]]) -> Any:
-    if isinstance(suite, str):
-        return suite
-    return [
-        {
-            "name": benchmark.name,
-            "loops": [loop_to_dict(loop) for loop in benchmark.loops],
-        }
-        for benchmark in suite
-    ]
-
-
-def _decode_suite(payload: Any) -> Union[str, Tuple[Benchmark, ...]]:
-    if isinstance(payload, str):
-        return payload
-    try:
-        return tuple(
-            Benchmark(
-                name=entry["name"],
-                loops=tuple(loop_from_dict(loop) for loop in entry["loops"]),
-            )
-            for entry in payload
-        )
-    except CodecError:
-        raise
-    except Exception as error:  # GraphError, KeyError, TypeError ...
-        raise CodecError(f"malformed suite payload: {error}") from error
-
-
-# ----------------------------------------------------------------------
-# Requests
-# ----------------------------------------------------------------------
-def encode_request(
-    request: Union[ScheduleRequest, EvaluationRequest]
-) -> Dict[str, Any]:
-    """A request as a JSON-compatible dict (full content, not digests)."""
-    common = {
-        "schema": CODEC_SCHEMA,
-        "scheduler": request.scheduler,
-        "machine": _encode_machine(request.machine),
-        "options": _encode_options(request.options),
-        "verify": request.verify,
-    }
-    if isinstance(request, ScheduleRequest):
-        common.update(
-            kind="schedule",
-            kernel=request.kernel,
-            loop=None if request.loop is None else loop_to_dict(request.loop),
-            full_recheck=request.full_recheck,
-        )
-    elif isinstance(request, EvaluationRequest):
-        common.update(
-            kind="evaluation",
-            suite=_encode_suite(request.suite),
-            programs=request.programs,
-            validate_each=request.validate_each,
-        )
-    else:
-        raise CodecError(f"cannot encode request of type {type(request).__name__}")
-    return common
-
-
-def decode_request(
-    payload: Dict[str, Any]
-) -> Union[ScheduleRequest, EvaluationRequest]:
-    """Rebuild a real, construction-validated request.
-
-    The decoded request fingerprints identically to the one encoded —
-    loops round-trip by content through :mod:`repro.ir.serialize` — so
-    store keys can be re-verified against their stored request.
-    """
-    payload = _expect(payload, "request")
-    kind = payload.get("kind")
-    try:
-        if kind == "schedule":
-            loop = payload.get("loop")
-            return ScheduleRequest(
-                machine=_decode_machine(payload["machine"]),
-                scheduler=payload["scheduler"],
-                kernel=payload.get("kernel"),
-                loop=None if loop is None else loop_from_dict(loop),
-                options=_decode_options(payload.get("options")),
-                verify=payload.get("verify", False),
-                full_recheck=payload.get("full_recheck", False),
-            )
-        if kind == "evaluation":
-            return EvaluationRequest(
-                scheduler=payload["scheduler"],
-                machine=_decode_machine(payload["machine"]),
-                suite=_decode_suite(payload["suite"]),
-                programs=payload.get("programs", 0),
-                options=_decode_options(payload.get("options")),
-                verify=payload.get("verify", False),
-                validate_each=payload.get("validate_each", False),
-            )
-    except CodecError:
-        raise
-    except Exception as error:  # RequestError, GraphError, KeyError ...
-        raise CodecError(f"malformed {kind} request: {error}") from error
-    raise CodecError(f"unknown request kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -485,9 +318,9 @@ def _decode_outcome(entry: Dict[str, Any]) -> StoredOutcome:
                     mem_comms=entry["mem_comms"],
                     spills=entry["spills"],
                     ii_attempts=entry["ii_attempts"],
-                    feas_cache_hits=entry.get("feas_cache_hits", 0),
-                    feas_cache_scans=entry.get("feas_cache_scans", 0),
-                    ii_trace=tuple(entry.get("ii_trace", ())),
+                    feas_cache_hits=entry["feas_cache_hits"],
+                    feas_cache_scans=entry["feas_cache_scans"],
+                    ii_trace=tuple(entry["ii_trace"]),
                 ),
             )
         else:
@@ -558,12 +391,11 @@ def decode_suite_result(payload: Dict[str, Any]) -> SuiteResult:
 def encode_response(
     response: Union[ScheduleResponse, EvaluationResponse]
 ) -> Dict[str, Any]:
-    """A response envelope as a JSON-compatible dict."""
+    """A response envelope as a JSON-compatible dict (without its request)."""
     if isinstance(response, EvaluationResponse):
         return {
             "schema": CODEC_SCHEMA,
             "kind": "evaluation",
-            "request": encode_request(response.request),
             "meta": encode_meta(response.meta),
             "result": encode_suite_result(response.result),
         }
@@ -571,7 +403,6 @@ def encode_response(
         return {
             "schema": CODEC_SCHEMA,
             "kind": "schedule",
-            "request": encode_request(response.request),
             "meta": encode_meta(response.meta),
             "outcome": _encode_outcome(response.outcome),
         }
@@ -579,22 +410,36 @@ def encode_response(
 
 
 def decode_response(
-    payload: Dict[str, Any]
+    payload: Dict[str, Any], fingerprint: Optional[str] = None
 ) -> Union[ScheduleResponse, EvaluationResponse]:
+    """Rebuild a response envelope; its ``request`` is ``None``.
+
+    Entries hold no request: the caller answers with the request it
+    looked the entry up for.  With ``fingerprint`` (that request's
+    fingerprint, the store key), an entry stamped with any other
+    fingerprint is rejected — it does not answer the key it was filed
+    under.
+    """
     payload = _expect(payload, "response")
     kind = payload.get("kind")
     try:
+        meta = decode_meta(payload["meta"])
+        if fingerprint is not None and meta.fingerprint != fingerprint:
+            raise CodecError(
+                f"entry {fingerprint[:12]} holds a response "
+                f"fingerprinted {meta.fingerprint[:12]}"
+            )
         if kind == "evaluation":
             return EvaluationResponse(
-                request=decode_request(payload["request"]),
+                request=None,
                 result=decode_suite_result(payload["result"]),
-                meta=decode_meta(payload["meta"]),
+                meta=meta,
             )
         if kind == "schedule":
             return ScheduleResponse(
-                request=decode_request(payload["request"]),
+                request=None,
                 outcome=_decode_outcome(payload["outcome"]),
-                meta=decode_meta(payload["meta"]),
+                meta=meta,
             )
     except CodecError:
         raise
@@ -610,10 +455,13 @@ def dumps_response(
     return dumps(encode_response(response))
 
 
-def loads_response(text: str) -> Union[ScheduleResponse, EvaluationResponse]:
-    """Parse canonical response text; :class:`CodecError` on any damage."""
+def loads_response(
+    text: str, fingerprint: Optional[str] = None
+) -> Union[ScheduleResponse, EvaluationResponse]:
+    """Parse canonical response text; :class:`CodecError` on any damage,
+    including (with ``fingerprint``) an entry filed under another key."""
     try:
         payload = json.loads(text)
     except ValueError as error:
         raise CodecError(f"response payload is not valid JSON: {error}") from error
-    return decode_response(payload)
+    return decode_response(payload, fingerprint)

@@ -247,21 +247,23 @@ class ReproService:
     # ------------------------------------------------------------------
     # Persistent store plumbing
     # ------------------------------------------------------------------
-    def _store_load(self, fingerprint: str, kind: type):
-        """A decoded stored response of the right kind, or ``None``.
+    def _store_load(self, fingerprint: str):
+        """The stored response filed under ``fingerprint``, or ``None``.
 
-        Corruption, truncation and schema drift are all misses (the
-        store's :meth:`~repro.service.store.ResultStore.load` contract);
-        a decodable entry of the wrong envelope kind is ignored too.
+        The entry holds no request (callers answer with their own) and
+        must carry ``fingerprint``, the key it was filed under.
+        Corruption, truncation, schema drift and a key mismatch are all
+        misses (the store's
+        :meth:`~repro.service.store.ResultStore.load` contract: the
+        entry is quarantined and recomputed).
         """
         if self.store is None:
             return None
         from .codec import loads_response
 
-        response = self.store.load(fingerprint, loads_response)
-        if response is None or not isinstance(response, kind):
-            return None
-        return response
+        return self.store.load(
+            fingerprint, lambda text: loads_response(text, fingerprint)
+        )
 
     def _store_put(self, response) -> None:
         """Persist one complete response (partial results never land).
@@ -295,7 +297,7 @@ class ReproService:
                 outcome=cached,
                 meta=self._meta(fingerprint, True, started, validated),
             )
-        stored = self._store_load(fingerprint, ScheduleResponse)
+        stored = self._store_load(fingerprint)
         if stored is not None:
             # A store hit is a cache hit whose payload is the decoded
             # metric surface (a StoredOutcome), not a live schedule.
@@ -348,7 +350,7 @@ class ReproService:
         for request, fingerprint in zip(requests, fingerprints):
             if fingerprint in self._cache or fingerprint in todo:
                 continue
-            stored = self._store_load(fingerprint, EvaluationResponse)
+            stored = self._store_load(fingerprint)
             if stored is not None:
                 # Promote the decoded result into the in-process memo so
                 # repeats within the session skip the store entirely.
@@ -474,7 +476,7 @@ class ReproService:
             return BatchHandle(
                 self, request, fingerprint, task=inflight, shared=True
             )
-        stored = self._store_load(fingerprint, EvaluationResponse)
+        stored = self._store_load(fingerprint)
         if stored is not None:
             self.cache_hits += 1
             self._cache[fingerprint] = stored.result

@@ -345,7 +345,7 @@ class TestStoreAndCacheCommands:
                 victim = os.path.join(objects, shard, names[0])
                 break
         with open(victim, "w") as handle:
-            handle.write('{"schema": "repro-codec/1", "tru')
+            handle.write('{"schema": "repro-codec/2", "tru')
         assert main(["cache", "verify", "--store", store]) == 1
         captured = capsys.readouterr()
         assert "verified 3 entries" in captured.out
@@ -354,6 +354,26 @@ class TestStoreAndCacheCommands:
         capsys.readouterr()
         assert main(["cache", "verify", "--store", store]) == 0
         assert "verified 3 entries" in capsys.readouterr().out
+
+    def test_cache_verify_flags_an_entry_under_the_wrong_key(
+        self, tmp_path, capsys
+    ):
+        from repro.service import DiskStore
+
+        store = self._store(tmp_path)
+        assert main([
+            "evaluate", "--clusters", "2", "--registers", "32",
+            "--programs", "1", "--store", store,
+        ]) == 0
+        capsys.readouterr()
+        disk = DiskStore(store)
+        first, second = disk.keys()[:2]
+        disk.put(second, disk.get(first))
+        assert main(["cache", "verify", "--store", store]) == 1
+        captured = capsys.readouterr()
+        assert "verified 3 entries" in captured.out
+        assert f"corrupt: {second}" in captured.err
+        assert "fingerprinted" in captured.err
 
     def test_cache_unknown_store_is_structured_error(self, capsys):
         assert main(["cache", "stats", "--store", "redis"]) == 1

@@ -4,11 +4,10 @@ The codec backs the disk store, so the load-bearing properties are:
 (1) encode → decode → encode is byte-identical (canonical form is a
 fixed point); (2) a decoded response renders every artifact surface —
 export JSON, per-benchmark IPC, Table 2 fields — identically to the
-original; (3) a decoded *request* fingerprints identically to the
-original, so cache keys survive a round trip through the store;
-(4) malformed/truncated/wrong-schema payloads raise :class:`CodecError`,
-never decode garbage; (5) entries written by older builds that carry
-since-retired outcome counters still decode.
+original; (3) entries hold no request, and an entry is bound to the key
+it answers; (4) malformed/truncated/wrong-schema/wrong-key payloads raise
+:class:`CodecError`, never decode garbage; (5) ``repro-codec/1`` entries,
+which carried a full request body, are rejected.
 """
 
 import json
@@ -19,8 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CodecError
 from repro.eval.export import suite_result_to_json
 from repro.eval.retry import ExecutionTelemetry, FailureReport, LoopFailure
-from repro.machine.presets import two_cluster
-from repro.schedule.engine import EngineOptions
 from repro.service import (
     CODEC_SCHEMA,
     EvaluationRequest,
@@ -29,12 +26,7 @@ from repro.service import (
     dumps_response,
     loads_response,
 )
-from repro.service.codec import (
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
-)
+from repro.service.codec import decode_response, encode_response
 from repro.service.responses import EvaluationResponse, ScheduleResponse
 from repro.workloads.kernels import daxpy, stencil5
 from repro.workloads.spec import Benchmark
@@ -142,51 +134,24 @@ class TestResponseRoundTrip:
         )
 
 
-class TestRequestRoundTrip:
-    def test_evaluation_request_fingerprint_survives(self):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        decoded = decode_request(encode_request(request))
-        assert isinstance(decoded, EvaluationRequest)
-        assert decoded.fingerprint() == request.fingerprint()
+class TestKeyBinding:
+    def test_entry_holds_no_request(self, schedule_response):
+        text = dumps_response(schedule_response)
+        assert set(json.loads(text)) == {"schema", "kind", "meta", "outcome"}
+        assert loads_response(text).request is None
 
-    def test_schedule_request_fingerprint_survives(self):
-        request = ScheduleRequest(
-            kernel="stencil5",
-            machine=two_cluster(64),
-            scheduler="uracam",
-            options=EngineOptions(verify_pressure=True),
+    def test_entry_decodes_under_its_own_key(self, evaluation_response):
+        fingerprint = evaluation_response.meta.fingerprint
+        decoded = loads_response(
+            dumps_response(evaluation_response), fingerprint
         )
-        decoded = decode_request(encode_request(request))
-        assert isinstance(decoded, ScheduleRequest)
-        assert decoded.fingerprint() == request.fingerprint()
+        assert decoded.meta.fingerprint == fingerprint
 
-    def test_decoded_request_schedules_identically(self):
-        # Not just the same fingerprint: the same *result*, so another
-        # process computing from a decoded request matches local
-        # execution bit-for-bit (this is what the serializer's
-        # replayable edge order guarantees).
-        request = EvaluationRequest(
-            scheduler="uracam", machine="2x32", suite=mini_suite()
-        )
-        decoded = decode_request(encode_request(request))
-        with ReproService(jobs=1) as a, ReproService(jobs=1) as b:
-            first = a.evaluate(request)
-            second = b.evaluate(decoded)
-        assert (
-            first.result.per_benchmark["mini"].ipc
-            == second.result.per_benchmark["mini"].ipc
-        )
-
-    def test_named_tier_round_trips(self):
-        request = EvaluationRequest(
-            scheduler="gp", machine="c6x", suite="paper", programs=2
-        )
-        decoded = decode_request(encode_request(request))
-        assert decoded.fingerprint() == request.fingerprint()
-        assert decoded.suite == "paper"
-        assert decoded.programs == 2
+    def test_wrong_key_rejected(self, schedule_response, evaluation_response):
+        text = dumps_response(schedule_response)
+        other = evaluation_response.meta.fingerprint
+        with pytest.raises(CodecError, match="fingerprinted"):
+            loads_response(text, other)
 
 
 class TestFailuresAndTelemetry:
@@ -268,45 +233,23 @@ class TestSchemaChecks:
             decode_response(payload)
 
     def test_schema_constant_is_versioned(self):
-        assert CODEC_SCHEMA == "repro-codec/1"
+        assert CODEC_SCHEMA == "repro-codec/2"
 
 
-class TestRetiredFields:
-    """Entries written by builds that still had the II-search warm start
-    carry ``warm_start_seeded``/``warm_start_hits`` in every modulo
-    outcome; they must decode (the keys are ignored), not miss."""
+class TestV1Entries:
+    """``repro-codec/1`` entries carried the full request (loops by
+    content) next to the outcome.  This build rejects them, so the store
+    treats them as misses and rewrites them in the current schema."""
 
     @pytest.mark.parametrize("kind", ["schedule", "evaluation"])
-    def test_old_entry_with_warm_start_counters_decodes(
+    def test_v1_entry_is_rejected(
         self, kind, schedule_response, evaluation_response
     ):
         response = (
             schedule_response if kind == "schedule" else evaluation_response
         )
-        current = dumps_response(response)
-        old = json.loads(current)
-        if kind == "schedule":
-            outcomes = [old["outcome"]]
-        else:
-            outcomes = [
-                outcome
-                for bench in old["result"]["benchmarks"]
-                for outcome in bench["outcomes"]
-            ]
-        modulo = [outcome for outcome in outcomes if outcome["modulo"]]
-        assert modulo
-        for outcome in modulo:
-            outcome["warm_start_seeded"] = 0
-            outcome["warm_start_hits"] = 0
-        decoded = loads_response(json.dumps(old))
-        assert dumps_response(decoded) == current
-
-    def test_unknown_option_rejected(self):
-        payload = encode_request(
-            ScheduleRequest(
-                kernel="daxpy", machine="2x32", options=EngineOptions()
-            )
-        )
-        payload["options"]["no_such_knob"] = True
-        with pytest.raises(CodecError):
-            decode_request(payload)
+        old = json.loads(dumps_response(response))
+        old["schema"] = "repro-codec/1"
+        old["request"] = {"schema": "repro-codec/1", "kind": kind}
+        with pytest.raises(CodecError, match="repro-codec/1"):
+            loads_response(json.dumps(old))

@@ -613,7 +613,7 @@ class TestSessionStoreSeam:
         )
         with ReproService(jobs=1, store=store) as first:
             good = first.evaluate(request)
-        store._entries[request.fingerprint()] = '{"schema": "repro-codec/1", tr'
+        store._entries[request.fingerprint()] = '{"schema": "repro-codec/2", tr'
         with ReproService(jobs=1, store=store) as second:
             recomputed = second.evaluate(request)
         assert recomputed.meta.cache_hit is False
@@ -625,6 +625,100 @@ class TestSessionStoreSeam:
         # The recompute overwrote the corrupt entry with a good one.
         with ReproService(jobs=1, store=store) as third:
             assert third.evaluate(request).meta.store.hit is True
+
+
+class TestStoreEntries:
+    """Store entries hold no request and answer only their own key."""
+
+    def _filled(self, request):
+        from repro.service import MemoryStore
+
+        store = MemoryStore()
+        with ReproService(store=store) as service:
+            computed = service.schedule(request)
+        return store, computed
+
+    def test_hit_never_rebuilds_a_loop(self, monkeypatch):
+        from repro.ir.ddg import DataDependenceGraph
+
+        request = ScheduleRequest(loop=stencil5(), machine="2x32")
+        store, computed = self._filled(request)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a store hit built a dependence graph")
+
+        monkeypatch.setattr(DataDependenceGraph, "__init__", forbidden)
+        monkeypatch.setattr(ReproService, "_scheduler_for", forbidden)
+        with ReproService(store=store) as service:
+            replayed = service.schedule(request)
+        assert replayed.meta.store.hit is True
+        assert replayed.request is request
+        assert replayed.outcome.ipc() == computed.outcome.ipc()
+
+    def test_explicit_loop_entry_holds_no_request(self):
+        import json
+
+        request = ScheduleRequest(loop=stencil5(), machine="2x32")
+        store, _ = self._filled(request)
+        keys = set()
+
+        def walk(node):
+            if isinstance(node, dict):
+                keys.update(node)
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value)
+
+        walk(json.loads(store.get(request.fingerprint())))
+        assert not keys & {"request", "operations", "dependences"}
+
+    def test_entry_under_the_wrong_key_is_a_miss(self):
+        right = ScheduleRequest(kernel="daxpy", machine="2x32")
+        wrong = ScheduleRequest(kernel="stencil5", machine="2x32")
+        store, _ = self._filled(right)
+        with ReproService(store=store) as service:
+            expected = service.schedule(wrong)
+        # File daxpy's (valid) entry under stencil5's key.
+        store.put(wrong.fingerprint(), store.get(right.fingerprint()))
+        with ReproService(store=store) as service:
+            served = service.schedule(wrong)
+        assert served.meta.store.hit is False
+        assert store.quarantined == 1
+        assert served.outcome.loop.name == expected.outcome.loop.name
+        assert served.ipc() == expected.ipc()
+        with ReproService(store=store) as service:
+            assert service.schedule(wrong).meta.store.hit is True
+
+    def test_v1_entry_is_recomputed_and_rewritten_as_v2(self, tmp_path):
+        import json
+        import os
+
+        from repro.service import CODEC_SCHEMA, DiskStore
+
+        request = ScheduleRequest(loop=stencil5(), machine="2x32")
+        store = DiskStore(str(tmp_path / "store"))
+        with ReproService(store=store) as service:
+            computed = service.schedule(request)
+        fingerprint = request.fingerprint()
+        old = json.loads(store.get(fingerprint))
+        old["schema"] = "repro-codec/1"
+        old["request"] = {
+            "schema": "repro-codec/1",
+            "kind": "schedule",
+            "loop": {"name": "stencil5", "operations": [], "dependences": []},
+        }
+        store.put(fingerprint, json.dumps(old))
+        with ReproService(store=store) as service:
+            recomputed = service.schedule(request)
+        assert recomputed.meta.store.hit is False
+        assert store.quarantined == 1
+        assert os.listdir(tmp_path / "store" / "quarantine")
+        assert recomputed.ipc() == computed.ipc()
+        rewritten = json.loads(store.get(fingerprint))
+        assert rewritten["schema"] == CODEC_SCHEMA == "repro-codec/2"
+        assert "request" not in rewritten
 
 
 class TestEvaluateManyPerRequestMeta:
