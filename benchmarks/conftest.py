@@ -3,7 +3,7 @@
 Every benchmark regenerates one table or figure of the paper on the full
 synthetic SPECfp95-like suite, saves the rendered artifact under
 ``results/`` and asserts the qualitative shape the paper reports.
-Artifacts with wall-clock columns (Table 2, the matching ablation) are
+Artifacts with timing columns (Table 2, the matching ablation) are
 saved only under ``-m bench``, so an ordinary test run leaves the
 tracked ``results/`` files untouched.  The
 experiments are deterministic, so a single round is measured
@@ -148,7 +148,7 @@ def save_artifact(
 
     A timing artifact passes the requesting test's pytest config as
     ``timed_by``; it is written only when ``-m bench`` is selected, so
-    fresh wall-clock numbers never rewrite the tracked file otherwise.
+    fresh timing numbers never rewrite the tracked file otherwise.
     """
     if timed_by is not None and not bench_selected(timed_by):
         return

@@ -32,8 +32,8 @@ def test_table2_cpu_time(benchmark, suite, results_dir, pytestconfig):
     )
 
     # URACAM must be the most time-consuming approach on the stressed
-    # 4-cluster machines, where it evaluates 4x the placements.  (Wall-time
-    # measurement is noisy; allow a 10% band.)
+    # 4-cluster machines, where it evaluates 4x the placements.  (CPU-time
+    # measurement is still noisy; allow a 10% band.)
     for config in result.configs:
         if config.startswith("4-cluster"):
             per = result.seconds[config]

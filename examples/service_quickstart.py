@@ -9,7 +9,7 @@ memoizes responses by request fingerprint.  This example:
 1. schedules one loop (``ScheduleRequest`` -> ``ScheduleResponse``),
 2. evaluates a suite tier (``EvaluationRequest`` -> ``EvaluationResponse``),
 3. replays the identical request to show the fingerprint cache hit,
-4. streams a batch of evaluations with ``submit()`` / ``as_completed()``.
+4. evaluates a batch of requests in one call with ``evaluate_many()``.
 
 Run:
     python examples/service_quickstart.py
@@ -53,20 +53,20 @@ def main() -> None:
             f"in {replay.meta.wall_seconds * 1e3:.2f} ms"
         )
 
-        # 4. Stream a batch: submit() returns immediately, as_completed()
-        #    yields responses as whole suites finish.
-        handles = [
-            service.submit(
+        # 4. Evaluate a batch: one call dispatches every request together
+        #    (over one shared pool at jobs > 1); responses come back in
+        #    request order.
+        batch = service.evaluate_many(
+            [
                 EvaluationRequest(
                     scheduler=name, machine="4x64", suite="paper", programs=2
                 )
-            )
-            for name in ("uracam", "fixed-partition", "gp")
-        ]
-        for done in service.as_completed(handles):
+                for name in ("uracam", "fixed-partition", "gp")
+            ]
+        )
+        for done in batch:
             print(
-                f"  streamed {done.request.scheduler:16s} "
-                f"avg IPC {done.average_ipc:.3f}"
+                f"  {done.request.scheduler:16s} avg IPC {done.average_ipc:.3f}"
             )
 
 

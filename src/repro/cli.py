@@ -34,24 +34,21 @@ without disturbing stdout.
 workload tier (the paper's 40 loops vs. the 220-loop production-scale
 tier) and ``--jobs N`` to fan per-loop scheduling out over N worker
 processes (``0`` = one per CPU; results are bit-identical to ``--jobs
-1``).  ``--chunksize`` batches several loops per worker task (default:
-an automatic heuristic) and one worker pool is shared across everything
-a single invocation runs.  ``--mp-context spawn|forkserver`` picks the
-worker start method (default: ``forkserver`` where the platform has it).
-``evaluate --verify`` is the slow paranoid mode: every engine commit
+1``); one worker pool is shared across everything a single invocation
+runs.  ``evaluate --verify`` is the slow paranoid mode: every engine commit
 cross-checks the incremental pressure state and every schedule is
 re-validated with ``full_recheck=True``.  ``evaluate --validate-each``
 is the production posture: every modulo schedule is re-validated through
 the cached sessions, in the worker that produced it, so the
 sweep-integrated validation cost is measured rather than skipped.
 
-Parallel runs are fault tolerant: worker deaths and deadline misses are
-retried on a self-healing pool (``--max-attempts``, ``--deadline``),
-degrading to in-process execution if workers keep dying — results stay
-bit-identical throughout.  ``evaluate --keep-going`` collects per-loop
-failures into a report (stderr, exit code 3) instead of aborting;
-``--fault-plan`` injects a deterministic JSON fault plan for testing
-the machinery itself (see :mod:`repro.eval.faults`).
+A worker death rebuilds the pool and resubmits the lost work (at most
+twice per batch, then the rest runs in-process), so results stay
+bit-identical; a loop whose scheduling raises aborts the run with an
+error naming it, or, under ``evaluate --keep-going``, is collected into
+a report (stderr, exit code 3).  ``--fault-plan`` injects a
+deterministic JSON fault plan for testing that machinery (see
+:mod:`repro.eval.faults`).
 
 Examples::
 
@@ -81,7 +78,6 @@ from .service import (
     SCHEDULERS,
     FaultPlan,
     ReproService,
-    RetryPolicy,
     ScheduleRequest,
 )
 from .workloads.kernels import KERNELS
@@ -144,21 +140,10 @@ def _pick_suite(args: argparse.Namespace):
 
 
 def _service_for(args: argparse.Namespace) -> ReproService:
-    """The in-process session one suite command runs on.
-
-    The CLI always runs with the production retry posture (transients
-    are retried, the pool self-heals, degradation beats aborting) —
-    with no faults this changes nothing observable, since retries only
-    engage on worker death, hangs, or deadline misses.
-    """
+    """The in-process session one suite command runs on."""
     return ReproService(
         jobs=args.jobs,
-        chunksize=args.chunksize,
-        mp_context=args.mp_context,
         store=args.store,
-        policy=RetryPolicy(
-            max_attempts=args.max_attempts, deadline=args.deadline
-        ),
         faults=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
         keep_going=getattr(args, "keep_going", False),
     )
@@ -277,9 +262,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cpu_count = os.cpu_count() or 1
         oversubscribed = jobs > cpu_count
         if oversubscribed:
-            # The per-loop timers measure elapsed time, so more workers than
-            # cores inflates every number through contention: annotate instead
-            # of letting the artifact silently report a "slowdown".
+            # More workers than cores turns the suite wall clock into a
+            # measure of contention: annotate instead of letting the
+            # artifact silently report a "slowdown".
             print(
                 f"warning: --jobs {jobs} oversubscribes this host "
                 f"({cpu_count} CPU{'s' if cpu_count != 1 else ''}); parallel "
@@ -337,7 +322,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"suite wall clock: {wall_seconds:.2f}s (jobs={jobs})")
     if args.json:
         payload = {
-            "schema": "repro-bench-cli/v7",
+            "schema": "repro-bench-cli/v8",
             "machine": config,
             "suite": args.suite,
             "benchmarks": len(suite),
@@ -453,28 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for per-loop scheduling "
                        "(1 = sequential, 0 = one per CPU)")
-        p.add_argument("--chunksize", type=int, default=None,
-                       help="loops batched per worker task (default: "
-                       "automatic heuristic; results are identical at "
-                       "any value)")
-        p.add_argument("--mp-context", default=None,
-                       choices=("spawn", "forkserver"),
-                       help="worker start method (default: forkserver "
-                       "where the platform offers it; results are "
-                       "identical under either)")
-        p.add_argument("--max-attempts", type=int, default=3,
-                       help="executions allowed per work chunk before a "
-                       "transient fault (worker death, deadline miss) "
-                       "gives up (1 = never retry)")
-        p.add_argument("--deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-chunk wall-clock deadline; a chunk "
-                       "held past it is retried on a rebuilt pool "
-                       "(default: none)")
         p.add_argument("--fault-plan", default=None, metavar="PATH",
                        help="JSON fault-injection plan (testing/CI "
-                       "only): injects worker crashes/hangs/raises at "
-                       "planned loops to exercise the retry layer")
+                       "only): injects worker crashes/raises at planned "
+                       "loops to exercise the failure handling")
         p.add_argument("--store", default=None, metavar="SPEC",
                        help="content-addressed result store: 'memory', "
                        "'disk' (the default cache root), 'disk:PATH' or "

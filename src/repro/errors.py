@@ -45,22 +45,3 @@ class CodecError(ReproError):
 
 class StoreError(ReproError):
     """A result store was misconfigured (bad path, non-positive budget)."""
-
-
-class DeadlineExceededError(ReproError):
-    """A dispatched work chunk missed its per-chunk deadline.
-
-    Raised (or recorded, under ``keep_going``) by the parallel runner's
-    retry layer when a worker holds a chunk past
-    :attr:`~repro.eval.retry.RetryPolicy.deadline` — the hung-worker
-    case.  Classified *transient*: the chunk is retried on a rebuilt
-    pool until its attempt budget runs out.
-    """
-
-    def __init__(self, seconds: float, attempts: int) -> None:
-        self.seconds = seconds
-        self.attempts = attempts
-        super().__init__(
-            f"chunk exceeded its {seconds:g}s deadline "
-            f"(attempt {attempts})"
-        )

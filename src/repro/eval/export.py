@@ -58,7 +58,7 @@ def table2_to_csv(table: Table2Result) -> str:
 def suite_result_to_dict(result: SuiteResult, timing: bool = True) -> Dict[str, Any]:
     """Full drill-down of one (scheduler, machine) suite run.
 
-    ``timing=False`` omits every wall-clock field (``cpu_seconds`` and
+    ``timing=False`` omits every timing field (``cpu_seconds`` and
     friends), leaving only the deterministic scheduling facts — IPC, II,
     stages, bus/mem-comm/spill counts.  Two runs of the same suite then
     export byte-identically, whatever ``--jobs`` value produced them.
@@ -78,18 +78,7 @@ def suite_result_to_dict(result: SuiteResult, timing: bool = True) -> Dict[str, 
         # Only present on keep-going partial results, so complete runs
         # keep exporting byte-identically to pre-failure-report builds
         # (the committed ``results/`` artifacts depend on that).
-        payload["failures"] = [
-            {
-                "benchmark": failure.benchmark,
-                "loop": failure.loop_name,
-                "scheduler": failure.scheduler,
-                "kind": failure.kind,
-                "error_type": failure.error_type,
-                "message": failure.message,
-                "attempts": failure.attempts,
-            }
-            for failure in result.failures
-        ]
+        payload["failures"] = [failure.to_dict() for failure in result.failures]
     return payload
 
 

@@ -6,25 +6,21 @@ and reproducibly instead of waiting for real worker deaths:
 
 * ``"crash"`` — the worker process calls ``os._exit`` (the
   ``BrokenProcessPool`` / SIGKILL class of fault);
-* ``"hang"`` — the worker sleeps through the chunk deadline (the
-  hung-worker class; bounded by :attr:`FaultPlan.hang_seconds` so
-  abandoned workers eventually die on their own);
 * ``"raise"`` — the task raises :class:`FaultInjected` (a
   *deterministic* task failure: same input, same exception — the class
-  the retry layer must NOT retry).
+  the runner must NOT retry).
 
-``crash`` and ``hang`` are process faults and only fire inside worker
-processes (``in_worker=True`` at the injection site); firing them in
-the caller's process would kill the test run itself, and the in-process
-degradation fallback is exactly the state in which process faults can
-no longer occur.  ``raise`` is a property of the task and fires
-everywhere.
+``crash`` is a process fault and only fires inside worker processes
+(``in_worker=True`` at the injection site); firing it in the caller's
+process would kill the test run itself, and the in-process degradation
+fallback is exactly the state in which process faults can no longer
+occur.  ``raise`` is a property of the task and fires everywhere.
 
 The ``attempt`` key is the chunk's execution count (0-based), so a
-fault at attempt 0 models a transient that clears on retry, wildcard
-faults (``attempt=None``) model hard failures, and the property suites
-can prove results under injected transients are bit-identical to the
-fault-free run.
+crash at attempt 0 models a worker death that clears on resubmission,
+wildcard faults (``attempt=None``) model hard failures that only
+degradation survives, and the property suites can prove results under
+injected crashes are bit-identical to the fault-free run.
 
 Plans serialize to JSON for the CLI's ``--fault-plan`` (the CI
 fault-injection smoke job) and generate deterministically from a seed
@@ -36,14 +32,13 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
 #: Accepted fault kinds.
-FAULT_KINDS = ("crash", "hang", "raise")
+FAULT_KINDS = ("crash", "raise")
 
 #: Exit code injected crashes die with (recognizable in worker logs).
 CRASH_EXIT_CODE = 13
@@ -58,7 +53,7 @@ class Fault:
     """One injected misbehaviour at a (benchmark, loop, attempt) site.
 
     ``attempt=None`` is a wildcard: the fault fires on every execution
-    of that loop (a *hard* fault the retry layer can only survive by
+    of that loop (a *hard* fault the runner can only survive by
     degrading to in-process execution, where process faults cannot
     fire).
     """
@@ -89,17 +84,9 @@ class FaultPlan:
     """A picklable, JSON-serializable set of injected faults."""
 
     faults: Tuple[Fault, ...] = ()
-    #: How long a ``"hang"`` fault sleeps.  Deliberately finite: a
-    #: worker abandoned after a pool rebuild wakes up and exits on its
-    #: own instead of leaking forever.
-    hang_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
-        if self.hang_seconds <= 0:
-            raise ReproError(
-                f"hang_seconds must be positive, got {self.hang_seconds}"
-            )
 
     def lookup(
         self, benchmark: str, loop_name: str, attempt: int
@@ -115,8 +102,8 @@ class FaultPlan:
         """Fire the planned fault for this site, if any.
 
         ``raise`` faults fire anywhere (they model the task itself
-        failing); ``crash``/``hang`` are process faults and fire only
-        with ``in_worker=True``.
+        failing); ``crash`` is a process fault and fires only with
+        ``in_worker=True``.
         """
         fault = self.lookup(benchmark, loop_name, attempt)
         if fault is None:
@@ -126,12 +113,8 @@ class FaultPlan:
                 f"injected deterministic failure at "
                 f"{benchmark}/{loop_name} attempt {attempt}"
             )
-        if not in_worker:
-            return
-        if fault.kind == "crash":
+        if in_worker:
             os._exit(CRASH_EXIT_CODE)
-        if fault.kind == "hang":
-            time.sleep(self.hang_seconds)
 
     # ------------------------------------------------------------------
     # Construction / serialization
@@ -144,7 +127,6 @@ class FaultPlan:
         kinds: Sequence[str] = ("crash",),
         count: int = 3,
         attempt: Optional[int] = 0,
-        hang_seconds: float = 30.0,
     ) -> "FaultPlan":
         """A deterministic plan over ``count`` distinct loops of ``suite``.
 
@@ -170,12 +152,11 @@ class FaultPlan:
             )
             for i, (bench, loop) in enumerate(chosen)
         )
-        return cls(faults=faults, hang_seconds=hang_seconds)
+        return cls(faults=faults)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "schema": "repro-fault-plan/v1",
-            "hang_seconds": self.hang_seconds,
             "faults": [
                 {
                     "benchmark": fault.benchmark,
@@ -204,10 +185,7 @@ class FaultPlan:
             )
         except (KeyError, TypeError) as error:
             raise ReproError(f"malformed fault plan: {error}") from error
-        return cls(
-            faults=faults,
-            hang_seconds=payload.get("hang_seconds", 30.0),
-        )
+        return cls(faults=faults)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

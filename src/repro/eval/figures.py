@@ -74,7 +74,6 @@ def _panel(
     unified_machine,
     suite: Sequence[Benchmark],
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
     options=None,
     validate_each: bool = False,
@@ -86,8 +85,8 @@ def _panel(
     the batch goes through ``service`` (a
     :class:`~repro.service.session.ReproService`, whose pool and
     response cache are shared with whatever else the caller runs on it)
-    or, when none is given, an ephemeral session built from the legacy
-    ``jobs``/``chunksize``/``pool`` knobs.  ``options`` (an
+    or, when none is given, an ephemeral session built from ``jobs`` /
+    ``pool``.  ``options`` (an
     :class:`~repro.schedule.engine.EngineOptions`) is handed to every
     scheduler — the CLI's ``--verify`` paranoid mode rides in on it —
     and ``validate_each`` re-validates every modulo schedule where it is
@@ -107,7 +106,7 @@ def _panel(
     ]
     owns_service = service is None
     if owns_service:
-        service = ReproService(jobs=jobs, chunksize=chunksize, pool=pool)
+        service = ReproService(jobs=jobs, pool=pool)
     try:
         responses = service.evaluate_many(requests)
     finally:
@@ -126,7 +125,6 @@ def figure2_panel(
     total_registers: int,
     suite: Optional[Sequence[Benchmark]] = None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
     options=None,
     validate_each: bool = False,
@@ -143,7 +141,6 @@ def figure2_panel(
         unified_machine=unified(total_registers),
         suite=suite,
         jobs=jobs,
-        chunksize=chunksize,
         pool=pool,
         options=options,
         validate_each=validate_each,
@@ -154,7 +151,6 @@ def figure2_panel(
 def figure2(
     suite: Optional[Sequence[Benchmark]] = None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
     service=None,
 ) -> List[FigureResult]:
@@ -167,7 +163,7 @@ def figure2(
     from ..service import ReproService
 
     if service is None:
-        with ReproService(jobs=jobs, chunksize=chunksize, pool=pool) as shared:
+        with ReproService(jobs=jobs, pool=pool) as shared:
             return figure2(suite, service=shared)
     return [
         figure2_panel(nc, regs, suite, service=service)
@@ -180,7 +176,6 @@ def figure3_panel(
     total_registers: int,
     suite: Optional[Sequence[Benchmark]] = None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
     options=None,
     validate_each: bool = False,
@@ -197,7 +192,6 @@ def figure3_panel(
         unified_machine=unified(total_registers),
         suite=suite,
         jobs=jobs,
-        chunksize=chunksize,
         pool=pool,
         options=options,
         validate_each=validate_each,
@@ -208,7 +202,6 @@ def figure3_panel(
 def figure3(
     suite: Optional[Sequence[Benchmark]] = None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
     service=None,
 ) -> List[FigureResult]:
@@ -216,7 +209,7 @@ def figure3(
     from ..service import ReproService
 
     if service is None:
-        with ReproService(jobs=jobs, chunksize=chunksize, pool=pool) as shared:
+        with ReproService(jobs=jobs, pool=pool) as shared:
             return figure3(suite, service=shared)
     return [
         figure3_panel(regs, suite, service=service)
@@ -275,7 +268,6 @@ def table2(
     suite: Optional[Sequence[Benchmark]] = None,
     machines=None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
     service=None,
     options=None,
@@ -285,11 +277,8 @@ def table2(
     Every (machine, scheduler) combination is one
     :class:`~repro.service.requests.EvaluationRequest` and the whole
     batch goes through one service session (one shared worker pool);
-    each loop's scheduling time is still measured inside its worker.
-    Note the per-loop timer is elapsed time (``perf_counter``), so
-    oversubscribing the host (more workers than spare cores) inflates
-    the reported seconds through contention — compare timing tables at
-    matching ``jobs`` values.
+    each loop's scheduling CPU time (``process_time``) is still measured
+    inside the process that scheduled it.
     """
     from ..service import EvaluationRequest, ReproService
 
@@ -313,7 +302,7 @@ def table2(
     ]
     owns_service = service is None
     if owns_service:
-        service = ReproService(jobs=jobs, chunksize=chunksize, pool=pool)
+        service = ReproService(jobs=jobs, pool=pool)
     try:
         responses = service.evaluate_many(requests)
     finally:

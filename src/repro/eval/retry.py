@@ -1,33 +1,20 @@
-"""Retry policy, failure classification and execution telemetry.
+"""Failure records and execution telemetry for batch evaluation.
 
-The parallel runner (:mod:`repro.eval.parallel`) classifies every
-dispatch failure into one of two buckets and lets a
-:class:`RetryPolicy` decide what happens next:
+The batch runner (:mod:`repro.eval.parallel`) has one failure posture:
 
-* **transient** — the worker process died (``BrokenProcessPool``,
-  whether surfaced from a future or from ``executor.submit`` itself)
-  or a chunk missed its deadline (a hung worker).  The work itself is
-  presumed fine: the pool is rebuilt, outstanding chunks are
-  resubmitted, and the failed chunk is retried with exponential backoff
-  until its attempt budget runs out.
-* **deterministic** — the task raised an exception *inside* the worker
-  (the scheduler crashed on that loop's content).  Re-running would
-  reproduce the same exception, so these fail fast: no retry, ever.
-
-After :attr:`RetryPolicy.max_rebuilds` pool rebuilds the runner stops
-trusting worker processes altogether and degrades to in-process
-sequential execution for the remaining chunks — slow, but the batch
-completes (results are bit-identical either way; the deterministic
-merge does not care where an outcome was computed).
-
-``keep_going`` mode (the CLI's ``--keep-going``) converts per-loop
-failures — deterministic ones, and transient ones that exhausted their
-budget — into :class:`LoopFailure` records collected on a
-:class:`FailureReport` instead of aborting the batch; every loop that
-could be scheduled still is.
+* a **worker death** (``BrokenProcessPool``, from a future or from
+  ``executor.submit`` itself) rebuilds the pool at once and resubmits
+  the outstanding chunks; after
+  :data:`~repro.eval.parallel.MAX_REBUILDS` rebuilds the remaining
+  chunks run in-process instead;
+* a **task that raises** (the scheduler failed on that loop's content)
+  is never retried: it surfaces as a
+  :class:`~repro.eval.parallel.LoopTaskError`, or, under ``keep_going``
+  (the CLI's ``--keep-going``), becomes a :class:`LoopFailure` on a
+  :class:`FailureReport` while every other loop is still scheduled.
 
 :class:`RunTelemetry` counts what actually happened (attempts per
-chunk, retries, rebuilds, deadline hits, degraded chunks); the service
+chunk, retries, rebuilds, degraded chunks, lost loops); the service
 session attaches a frozen :class:`ExecutionTelemetry` snapshot to each
 response's :class:`~repro.service.responses.ResponseMeta` and the
 ``repro bench --json`` artifact records the session totals.
@@ -35,140 +22,17 @@ response's :class:`~repro.service.responses.ResponseMeta` and the
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-from ..errors import ReproError
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the parallel runner responds to transient execution faults.
-
-    ``max_attempts`` bounds executions of one chunk (so deadline-driven
-    retries of a genuinely hung task terminate); ``max_rebuilds`` bounds
-    pool rebuilds per batch (so a crash loop terminates), after which
-    ``fallback_sequential`` degrades the remaining chunks to in-process
-    execution instead of aborting.  Backoff between retries is
-    exponential with *deterministic* seeded jitter — two runs of the
-    same plan back off identically, which the fault-injection property
-    suites rely on.  ``deadline`` is the per-chunk wall-clock budget;
-    ``None`` disables deadline enforcement (a hung worker then blocks,
-    exactly like the pre-retry runner).
-
-    The defaults are the production posture (retry transients, degrade
-    rather than abort).  :meth:`none` is the legacy fail-fast posture
-    the library entry points default to.
-    """
-
-    #: Executions allowed per chunk (1 = never retry).
-    max_attempts: int = 3
-    #: Base backoff delay in seconds before a retry.
-    backoff_base: float = 0.05
-    #: Exponential backoff multiplier per additional attempt.
-    backoff_multiplier: float = 2.0
-    #: Jitter fraction: the delay is scaled by ``1 + jitter * u`` with
-    #: ``u`` drawn deterministically from ``seed`` and the retry token.
-    jitter: float = 0.1
-    #: Seed for the deterministic jitter stream.
-    seed: int = 0
-    #: Per-chunk wall-clock deadline in seconds (``None`` = no deadline).
-    deadline: Optional[float] = None
-    #: Pool rebuilds allowed per batch before degradation kicks in.
-    max_rebuilds: int = 2
-    #: After the rebuild budget: run remaining chunks in-process
-    #: sequentially (True) or abort with a LoopTaskError (False).
-    fallback_sequential: bool = True
-    #: Sleep hook (tests inject a recorder; never part of identity).
-    sleep: Callable[[float], None] = field(
-        default=time.sleep, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ReproError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.max_rebuilds < 0:
-            raise ReproError(
-                f"max_rebuilds must be >= 0, got {self.max_rebuilds}"
-            )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ReproError(
-                f"deadline must be positive seconds, got {self.deadline}"
-            )
-        if self.backoff_base < 0 or self.backoff_multiplier < 1 or self.jitter < 0:
-            raise ReproError("backoff parameters must be non-negative (multiplier >= 1)")
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """The legacy fail-fast posture: no retries, no rebuilds, no
-        deadline — the first transient fault aborts the batch exactly as
-        the pre-retry runner did."""
-        return cls(
-            max_attempts=1,
-            backoff_base=0.0,
-            deadline=None,
-            max_rebuilds=0,
-            fallback_sequential=False,
-        )
-
-    def backoff_seconds(self, token: object, attempt: int) -> float:
-        """Delay before retry number ``attempt`` of ``token``.
-
-        Deterministic: the jitter stream is seeded from
-        ``(seed, token, attempt)``, so identical runs sleep identically.
-        """
-        return backoff_seconds(
-            self.backoff_base,
-            self.backoff_multiplier,
-            self.jitter,
-            self.seed,
-            token,
-            attempt,
-        )
-
-
-def backoff_seconds(
-    base: float,
-    multiplier: float,
-    jitter: float,
-    seed: int,
-    token: object,
-    attempt: int,
-) -> float:
-    """Exponential backoff with deterministic jitter.
-
-    The jitter stream is seeded from ``(seed, token, attempt)``, so two
-    runs of the same plan back off identically — the property the
-    fault-injection suites rely on.
-    """
-    if base <= 0:
-        return 0.0
-    delay = base * multiplier ** max(0, attempt - 1)
-    if jitter > 0:
-        u = random.Random(f"{seed}:{token}:{attempt}").random()
-        delay *= 1.0 + jitter * u
-    return delay
-
-
-#: Failure-classification buckets (see the module docstring).
-TRANSIENT = "transient"
-DETERMINISTIC = "deterministic"
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
 class LoopFailure:
-    """One loop that could not be scheduled, with why and how hard we tried."""
+    """One loop that could not be scheduled, and why."""
 
     benchmark: str
     loop_name: str
     scheduler: str
-    #: ``"deterministic"`` (the task raised) or ``"transient"`` (worker
-    #: death / deadline, retry budget exhausted).
-    kind: str
     error_type: str
     message: str
     attempts: int
@@ -176,9 +40,19 @@ class LoopFailure:
     def describe(self) -> str:
         return (
             f"{self.benchmark}/{self.loop_name} [{self.scheduler}]: "
-            f"{self.error_type}: {self.message} "
-            f"({self.kind}, attempts={self.attempts})"
+            f"{self.error_type}: {self.message} (attempts={self.attempts})"
         )
+
+    def to_dict(self) -> dict:
+        """The record as exported and stored (``loop`` names the loop)."""
+        return {
+            "benchmark": self.benchmark,
+            "loop": self.loop_name,
+            "scheduler": self.scheduler,
+            "error_type": self.error_type,
+            "message": self.message,
+            "attempts": self.attempts,
+        }
 
 
 @dataclass(frozen=True)
@@ -209,18 +83,7 @@ class FailureReport:
     def to_dict(self) -> dict:
         return {
             "failed_loops": len(self.failures),
-            "failures": [
-                {
-                    "benchmark": f.benchmark,
-                    "loop": f.loop_name,
-                    "scheduler": f.scheduler,
-                    "kind": f.kind,
-                    "error_type": f.error_type,
-                    "message": f.message,
-                    "attempts": f.attempts,
-                }
-                for f in self.failures
-            ],
+            "failures": [f.to_dict() for f in self.failures],
         }
 
     def render(self) -> str:
@@ -236,7 +99,7 @@ class RunTelemetry:
     """Mutable counters one batch (or session) of dispatches fills in.
 
     ``chunk_attempts`` records each chunk's final execution count in
-    submission order, so "attempts per chunk" is reconstructible; the
+    completion order, so "attempts per chunk" is reconstructible; the
     scalar counters aggregate across chunks.  Sessions accumulate by
     :meth:`merge`; responses carry the frozen :meth:`freeze` snapshot.
     """
@@ -245,7 +108,6 @@ class RunTelemetry:
     attempts: int = 0
     retries: int = 0
     rebuilds: int = 0
-    deadline_hits: int = 0
     degraded_chunks: int = 0
     failed_loops: int = 0
     chunk_attempts: List[int] = field(default_factory=list)
@@ -260,7 +122,6 @@ class RunTelemetry:
         self.attempts += other.attempts
         self.retries += other.retries
         self.rebuilds += other.rebuilds
-        self.deadline_hits += other.deadline_hits
         self.degraded_chunks += other.degraded_chunks
         self.failed_loops += other.failed_loops
         self.chunk_attempts.extend(other.chunk_attempts)
@@ -271,7 +132,6 @@ class RunTelemetry:
             attempts=self.attempts,
             retries=self.retries,
             rebuilds=self.rebuilds,
-            deadline_hits=self.deadline_hits,
             degraded_chunks=self.degraded_chunks,
             failed_loops=self.failed_loops,
             chunk_attempts=tuple(self.chunk_attempts),
@@ -283,7 +143,6 @@ class RunTelemetry:
             "attempts": self.attempts,
             "retries": self.retries,
             "rebuilds": self.rebuilds,
-            "deadline_hits": self.deadline_hits,
             "degraded_chunks": self.degraded_chunks,
             "failed_loops": self.failed_loops,
         }
@@ -297,7 +156,6 @@ class ExecutionTelemetry:
     attempts: int
     retries: int
     rebuilds: int
-    deadline_hits: int
     degraded_chunks: int
     failed_loops: int
     chunk_attempts: Tuple[int, ...]
@@ -308,7 +166,6 @@ class ExecutionTelemetry:
         return (
             self.retries == 0
             and self.rebuilds == 0
-            and self.deadline_hits == 0
             and self.degraded_chunks == 0
             and self.failed_loops == 0
         )

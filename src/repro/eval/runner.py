@@ -55,45 +55,20 @@ def run_benchmark(
     scheduler: BaseScheduler,
     validate_each: bool = False,
 ) -> BenchmarkResult:
-    """Schedule every loop of ``benchmark`` with ``scheduler``.
+    """Schedule every loop of ``benchmark`` with ``scheduler`` (in-process).
 
-    ``validate_each`` re-validates every modulo schedule right after it
-    is produced (the cached sessions the engine attached, not the
-    paranoid ``full_recheck`` rebuild) — the production posture where
-    every served schedule is checked, so sweeps measure and gate the
-    integrated validation cost instead of timing it standalone.  A
-    schedule that fails surfaces as a
-    :class:`~repro.eval.parallel.LoopTaskError` naming the loop, exactly
-    like the parallel path.
+    ``validate_each`` is :func:`run_suite`'s; a loop that fails surfaces
+    as a :class:`~repro.eval.parallel.LoopTaskError` naming it.
     """
-    result = BenchmarkResult(
-        benchmark=benchmark.name,
-        scheduler=scheduler.name,
-        machine=scheduler.machine.name,
-    )
-    for loop in benchmark.loops:
-        outcome = scheduler.schedule(loop)
-        if validate_each and outcome.is_modulo:
-            try:
-                outcome.schedule.validate()
-            except Exception as error:
-                from .parallel import LoopTaskError
-
-                raise LoopTaskError(
-                    benchmark=benchmark.name,
-                    loop_name=loop.name,
-                    scheduler=scheduler.name,
-                    cause=error,
-                ) from error
-        result.outcomes.append(outcome)
-    return result
+    result = run_suite([benchmark], scheduler, validate_each=validate_each)
+    return result.per_benchmark[benchmark.name]
 
 
 @dataclass
 class SuiteResult:
     """All benchmarks under one (scheduler, machine) pair.
 
-    ``failures`` is empty except under the parallel runner's
+    ``failures`` is empty except under the batch runner's
     ``keep_going`` mode, where each loop that could not be scheduled is
     recorded as a :class:`~repro.eval.retry.LoopFailure` (its outcome is
     simply absent from ``per_benchmark``) instead of aborting the run.
@@ -118,7 +93,6 @@ def run_suite(
     suite: Sequence[Benchmark],
     scheduler: BaseScheduler,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
     validate_each: bool = False,
 ) -> SuiteResult:
@@ -126,28 +100,18 @@ def run_suite(
 
     ``jobs`` follows the CLI convention: ``1`` (the default) runs
     in-process and sequentially; any other value dispatches the per-loop
-    work items to a worker pool (see :mod:`repro.eval.parallel`) with a
-    deterministic merge, so the result is bit-identical either way.
-    ``chunksize`` batches several loops per work item and ``pool`` reuses
-    an :func:`~repro.eval.parallel.evaluation_pool` across calls.
-    ``validate_each`` re-validates every modulo schedule as it is
-    produced (in the worker that scheduled it, on the parallel path, so
-    the cost is measured where it is paid).
+    work to a worker pool, and ``pool`` reuses a caller's
+    :class:`~repro.eval.parallel.EvaluationPool` (see
+    :func:`~repro.eval.parallel.run_requests`, which this delegates to).
+    The merge is deterministic, so the result is bit-identical either
+    way.  ``validate_each`` re-validates every modulo schedule as it is
+    produced (in the worker that scheduled it, on the pooled path, so
+    the cost is measured where it is paid).  A loop that fails surfaces
+    as a :class:`~repro.eval.parallel.LoopTaskError` naming it, at any
+    ``jobs``.
     """
-    if jobs != 1 or pool is not None:
-        from .parallel import run_suite_parallel
+    from .parallel import run_requests
 
-        return run_suite_parallel(
-            suite,
-            scheduler,
-            jobs=jobs,
-            chunksize=chunksize,
-            pool=pool,
-            validate_each=validate_each,
-        )
-    result = SuiteResult(scheduler=scheduler.name, machine=scheduler.machine.name)
-    for benchmark in suite:
-        result.per_benchmark[benchmark.name] = run_benchmark(
-            benchmark, scheduler, validate_each=validate_each
-        )
-    return result
+    return run_requests(
+        [(scheduler, suite)], jobs=jobs, pool=pool, validate_each=validate_each
+    )[0]

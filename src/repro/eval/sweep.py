@@ -121,18 +121,17 @@ class SweepResult:
 
 def _average_ipcs(
     suite: Sequence[Benchmark], schedulers: Sequence, jobs: Optional[int],
-    chunksize: Optional[int] = None, pool=None,
+    pool=None,
 ) -> List[float]:
     """Average IPC per scheduler, all batched through one worker pool.
 
-    ``pool`` — a caller's :func:`~repro.eval.parallel.evaluation_pool` —
+    ``pool`` — a caller's :class:`~repro.eval.parallel.EvaluationPool` —
     lets several sweeps within one invocation reuse the same workers.
     """
     from .parallel import run_requests
 
     results = run_requests(
-        [(scheduler, suite) for scheduler in schedulers], jobs=jobs,
-        chunksize=chunksize, pool=pool,
+        [(scheduler, suite) for scheduler in schedulers], jobs=jobs, pool=pool,
     )
     return [result.average_ipc for result in results]
 
@@ -142,7 +141,6 @@ def register_sweep(
     num_clusters: int = 4,
     suite: Optional[Sequence[Benchmark]] = None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
 ) -> SweepResult:
     """IPC vs. total registers on an ``num_clusters``-cluster machine."""
@@ -160,7 +158,7 @@ def register_sweep(
         machine = clustered(num_clusters, total)
         schedulers.extend(cls(machine) for cls in _CLUSTERED_SCHEDULERS)
         schedulers.append(UnifiedScheduler(unified(total)))
-    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers, jobs, chunksize, pool)):
+    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers, jobs, pool)):
         result.series[scheduler.name].append(ipc)
     return result
 
@@ -171,7 +169,6 @@ def bus_latency_sweep(
     total_registers: int = 64,
     suite: Optional[Sequence[Benchmark]] = None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
 ) -> SweepResult:
     """IPC vs. inter-cluster bus latency (Figures 2 and 3 are points 1, 2)."""
@@ -184,7 +181,7 @@ def bus_latency_sweep(
         for latency in latencies
         for cls in _CLUSTERED_SCHEDULERS
     ]
-    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers, jobs, chunksize, pool)):
+    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers, jobs, pool)):
         result.series[scheduler.name].append(ipc)
     return result
 
@@ -194,7 +191,6 @@ def cluster_sweep(
     total_registers: int = 64,
     suite: Optional[Sequence[Benchmark]] = None,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     pool=None,
 ) -> SweepResult:
     """IPC vs. cluster count at constant total resources (the Table 1 axis)."""
@@ -214,7 +210,7 @@ def cluster_sweep(
             pair = (GPScheduler(machine), UracamScheduler(machine))
             plan.append(pair)
             schedulers.extend(pair)
-    ipcs = dict(zip(schedulers, _average_ipcs(suite, schedulers, jobs, chunksize, pool)))
+    ipcs = dict(zip(schedulers, _average_ipcs(suite, schedulers, jobs, pool)))
     for entry in plan:
         if len(entry) == 1:  # unified point: one run feeds both series
             result.series["gp"].append(ipcs[entry[0]])

@@ -95,7 +95,7 @@ class BaseScheduler:
     # -- driver -------------------------------------------------------------
     def schedule(self, loop: Loop) -> ScheduleOutcome:
         """Schedule ``loop``; never fails (falls back to list scheduling)."""
-        started = _time.perf_counter()
+        started = _time.process_time()
         start_ii = mii(loop, self.machine)
         self._prepare(loop, start_ii)
         attempts = 0
@@ -148,7 +148,7 @@ class BaseScheduler:
             schedule = found
         else:
             schedule = list_schedule(loop, self.machine)
-        elapsed = _time.perf_counter() - started
+        elapsed = _time.process_time() - started
         return ScheduleOutcome(
             loop=loop,
             machine=self.machine,

@@ -16,8 +16,8 @@ request/response contracts and one long-lived session object:
   lookups with structured unknown-name errors;
 * :class:`~repro.service.session.ReproService` — the session that owns
   the worker pool, resolves the registries, memoizes responses by
-  request fingerprint and exposes ``schedule()`` / ``evaluate()`` plus
-  the streaming ``submit()`` / ``as_completed()`` batch interface;
+  request fingerprint and exposes ``schedule()``, ``evaluate()`` and
+  the batched ``evaluate_many()``;
 * :mod:`~repro.service.codec` — the canonical JSON codec for requests
   and response envelopes (the disk store's entry format);
 * :class:`~repro.service.store.ResultStore` — content-addressed
@@ -33,12 +33,7 @@ builders over this package; see ``examples/service_quickstart.py``.
 
 from ..errors import CodecError, StoreError
 from ..eval.faults import Fault, FaultPlan
-from ..eval.retry import (
-    ExecutionTelemetry,
-    FailureReport,
-    LoopFailure,
-    RetryPolicy,
-)
+from ..eval.retry import ExecutionTelemetry, FailureReport, LoopFailure
 from .codec import CODEC_SCHEMA, dumps_response, loads_response
 from .registry import (
     MACHINES,
@@ -50,7 +45,7 @@ from .registry import (
 )
 from .requests import EvaluationRequest, RequestError, ScheduleRequest
 from .responses import EvaluationResponse, ResponseMeta, ScheduleResponse
-from .session import BatchHandle, ReproService
+from .session import ReproService
 from .store import (
     STORE_NAMES,
     DiskStore,
@@ -62,7 +57,6 @@ from .store import (
 )
 
 __all__ = [
-    "BatchHandle",
     "CODEC_SCHEMA",
     "CodecError",
     "DiskStore",
@@ -82,7 +76,6 @@ __all__ = [
     "RequestError",
     "ResponseMeta",
     "ResultStore",
-    "RetryPolicy",
     "SCHEDULERS",
     "STORE_NAMES",
     "ScheduleRequest",

@@ -49,7 +49,7 @@ from .store import StoreTelemetry
 #: Schema tag carried on every encoded payload.  Bump on any change to
 #: the encoded shape; decoders reject every other version (the store
 #: then treats old entries as misses and overwrites them).
-CODEC_SCHEMA = "repro-codec/2"
+CODEC_SCHEMA = "repro-codec/3"
 
 
 def dumps(payload: Dict[str, Any]) -> str:
@@ -167,18 +167,7 @@ class StoredOutcome:
 # Failure reports and telemetry
 # ----------------------------------------------------------------------
 def encode_failures(failures: Tuple[LoopFailure, ...]) -> List[Dict[str, Any]]:
-    return [
-        {
-            "benchmark": f.benchmark,
-            "loop": f.loop_name,
-            "scheduler": f.scheduler,
-            "kind": f.kind,
-            "error_type": f.error_type,
-            "message": f.message,
-            "attempts": f.attempts,
-        }
-        for f in failures
-    ]
+    return [f.to_dict() for f in failures]
 
 
 def decode_failures(payload: Any) -> Tuple[LoopFailure, ...]:
@@ -188,7 +177,6 @@ def decode_failures(payload: Any) -> Tuple[LoopFailure, ...]:
                 benchmark=entry["benchmark"],
                 loop_name=entry["loop"],
                 scheduler=entry["scheduler"],
-                kind=entry["kind"],
                 error_type=entry["error_type"],
                 message=entry["message"],
                 attempts=entry["attempts"],

@@ -47,8 +47,7 @@ class ResponseMeta:
     #: turned on (``verify_pressure`` / ``validate_schedules``).
     validated: bool
     #: Frozen fault-tolerance telemetry for the batch that produced this
-    #: response (attempts, retries, pool rebuilds, deadline hits,
-    #: degraded chunks).  ``None`` on cache hits and on paths that did
+    #: response (attempts, retries, pool rebuilds, degraded chunks).  ``None`` on cache hits and on paths that did
     #: not go through the batch dispatcher; ``telemetry.clean`` is True
     #: when no fault-tolerance machinery had to engage.
     telemetry: Optional[ExecutionTelemetry] = None

@@ -77,3 +77,23 @@ def recurrence_heavy_loop():
         LoopShape(24, mem_ratio=0.3, depth_bias=0.5, recurrences=2, trip_count=90),
         seed=11,
     )
+
+
+@pytest.fixture
+def pin_chunk_size(monkeypatch):
+    """Pin the batch runner's loops-per-chunk (``None`` keeps the
+    ``resolve_chunksize`` heuristic).
+
+    Chunk boundaries follow the suite size and ``jobs``; pinning them
+    lets a test show that the keyed merge, and recovery from worker
+    deaths, never depend on where the boundaries fall.
+    """
+
+    def pin(size):
+        if size is not None:
+            monkeypatch.setattr(
+                "repro.eval.parallel.resolve_chunksize",
+                lambda _total, _jobs: size,
+            )
+
+    return pin

@@ -160,7 +160,6 @@ class TestFailuresAndTelemetry:
             benchmark=f"bench{index}",
             loop_name=f"loop{index}",
             scheduler="gp",
-            kind="deterministic" if index % 2 else "transient",
             error_type="LoopTaskError",
             message=f"boom {index}",
             attempts=index + 1,
@@ -192,7 +191,6 @@ class TestFailuresAndTelemetry:
             attempts=chunks + retries,
             retries=retries,
             rebuilds=retries // 2,
-            deadline_hits=retries // 3,
             degraded_chunks=0,
             failed_loops=0,
             chunk_attempts=tuple(chunk_attempts),
@@ -233,7 +231,7 @@ class TestSchemaChecks:
             decode_response(payload)
 
     def test_schema_constant_is_versioned(self):
-        assert CODEC_SCHEMA == "repro-codec/2"
+        assert CODEC_SCHEMA == "repro-codec/3"
 
 
 class TestV1Entries:

@@ -1,19 +1,17 @@
-"""Fault-injection property tests for the retry layer.
+"""Fault-injection property tests for the batch runner's failure posture.
 
 The contracts under test, against deterministic :class:`FaultPlan`\\ s:
 
-* results under injected **transient** faults (worker crashes, hangs
-  caught by the deadline) are *bit-identical* to the fault-free run, at
-  every jobs/chunksize combination — the retry machinery may change how
-  work executes, never what it computes;
-* **deterministic** task failures are never retried: they abort at once
-  (or, under ``keep_going``, are collected into a
-  :class:`FailureReport` naming every lost loop while the rest of the
-  batch completes);
-* after the rebuild budget the runner degrades to in-process execution
-  and still produces bit-identical results;
+* results through injected **worker crashes** are *bit-identical* to the
+  fault-free run at every ``jobs`` and chunk size — rebuilding the pool and
+  resubmitting may change how work executes, never what it computes;
+* a **task that raises** is never retried: it aborts at once (or, under
+  ``keep_going``, is collected into a :class:`FailureReport` naming
+  every lost loop while the rest of the batch completes);
+* after ``MAX_REBUILDS`` rebuilds the runner degrades to in-process
+  execution and still produces bit-identical results;
 * the mid-submit ``BrokenProcessPool`` race (``executor.submit`` itself
-  raising) is healed by the policy and fails cleanly without one.
+  raising) is healed the same way.
 """
 
 import pytest
@@ -21,15 +19,13 @@ import pytest
 from repro.errors import ReproError
 from repro.eval.export import suite_result_to_json
 from repro.eval.faults import CRASH_EXIT_CODE, Fault, FaultInjected, FaultPlan
-from repro.eval.parallel import EvaluationPool, LoopTaskError, run_requests
-from repro.eval.retry import (
-    DETERMINISTIC,
-    TRANSIENT,
-    FailureReport,
-    LoopFailure,
-    RetryPolicy,
-    RunTelemetry,
+from repro.eval.parallel import (
+    MAX_REBUILDS,
+    EvaluationPool,
+    LoopTaskError,
+    run_requests,
 )
+from repro.eval.retry import FailureReport, LoopFailure, RunTelemetry
 from repro.eval.runner import run_suite
 from repro.machine.presets import two_cluster
 from repro.service import SCHEDULERS
@@ -46,13 +42,6 @@ def _gp():
 
 def _canonical(result):
     return suite_result_to_json(result, timing=False)
-
-
-#: A policy that never actually sleeps (tests should not wait out real
-#: backoff delays).
-def _fast_policy(**overrides):
-    overrides.setdefault("sleep", lambda _seconds: None)
-    return RetryPolicy(**overrides)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +72,7 @@ class TestFaultPlan:
         assert a != c
 
     def test_json_round_trip(self, mini_suite):
-        plan = FaultPlan.from_seed(7, mini_suite, kinds=("crash", "hang"), count=2)
+        plan = FaultPlan.from_seed(7, mini_suite, kinds=("crash", "raise"), count=2)
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_load_rejects_garbage(self, tmp_path):
@@ -126,17 +115,16 @@ class TestBitIdenticalUnderTransientFaults:
     """The tentpole property: injected worker crashes change nothing."""
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("chunksize", [None, 1, 7])
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
     def test_crash_plan_is_invisible_in_results(
-        self, mini_suite, fault_free_export, jobs, chunksize
+        self, mini_suite, fault_free_export, pin_chunk_size, jobs, chunk
     ):
+        pin_chunk_size(chunk)
         plan = FaultPlan.from_seed(11, mini_suite, kinds=("crash",), count=3)
         telemetry = RunTelemetry()
         result = run_requests(
             [(_gp(), mini_suite)],
             jobs=jobs,
-            chunksize=chunksize,
-            policy=_fast_policy(),
             faults=plan,
             telemetry=telemetry,
         )[0]
@@ -146,36 +134,6 @@ class TestBitIdenticalUnderTransientFaults:
             # Crashes actually fired and were healed.
             assert telemetry.retries >= 1
             assert telemetry.rebuilds >= 1
-
-    def test_hang_is_reaped_by_deadline_and_results_identical(
-        self, mini_suite, fault_free_export
-    ):
-        victim = mini_suite[0]
-        plan = FaultPlan(
-            faults=(
-                Fault(
-                    benchmark=victim.name,
-                    loop_name=victim.loops[0].name,
-                    kind="hang",
-                    attempt=0,
-                ),
-            ),
-            # Short enough that the abandoned worker exits promptly after
-            # the test; long enough to guarantee a deadline hit first.
-            hang_seconds=8.0,
-        )
-        telemetry = RunTelemetry()
-        result = run_requests(
-            [(_gp(), mini_suite)],
-            jobs=2,
-            chunksize=1,
-            policy=_fast_policy(deadline=0.75),
-            faults=plan,
-            telemetry=telemetry,
-        )[0]
-        assert _canonical(result) == fault_free_export
-        assert telemetry.deadline_hits >= 1
-        assert telemetry.retries >= 1
 
     def test_degrades_to_inprocess_after_rebuild_budget(
         self, mini_suite, fault_free_export
@@ -197,12 +155,11 @@ class TestBitIdenticalUnderTransientFaults:
         result = run_requests(
             [(_gp(), mini_suite)],
             jobs=2,
-            policy=_fast_policy(max_attempts=10, max_rebuilds=1),
             faults=plan,
             telemetry=telemetry,
         )[0]
         assert _canonical(result) == fault_free_export
-        assert telemetry.rebuilds == 1
+        assert telemetry.rebuilds == MAX_REBUILDS
         assert telemetry.degraded_chunks >= 1
 
 
@@ -225,7 +182,6 @@ class TestDeterministicFailuresFailFast:
             run_requests(
                 [(_gp(), mini_suite)],
                 jobs=jobs,
-                policy=_fast_policy(max_attempts=5),
                 faults=plan,
                 telemetry=telemetry,
             )
@@ -233,25 +189,6 @@ class TestDeterministicFailuresFailFast:
         assert isinstance(excinfo.value.cause, FaultInjected)
         assert telemetry.retries == 0
         assert telemetry.rebuilds == 0
-
-    def test_backoff_is_deterministic(self):
-        policy = RetryPolicy(seed=3)
-        other = RetryPolicy(seed=3)
-        assert [policy.backoff_seconds(0, a) for a in (1, 2, 3)] == [
-            other.backoff_seconds(0, a) for a in (1, 2, 3)
-        ]
-        # ...and grows exponentially.
-        delays = [policy.backoff_seconds(0, a) for a in (1, 2, 3)]
-        assert delays[0] < delays[1] < delays[2]
-        assert RetryPolicy(seed=4).backoff_seconds(0, 1) != policy.backoff_seconds(0, 1)
-
-    def test_retry_policy_validates(self):
-        with pytest.raises(ReproError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ReproError):
-            RetryPolicy(deadline=0.0)
-        with pytest.raises(ReproError):
-            RetryPolicy(max_rebuilds=-1)
 
 
 class TestKeepGoing:
@@ -271,14 +208,13 @@ class TestKeepGoing:
         result = run_requests(
             [(_gp(), mini_suite)],
             jobs=jobs,
-            policy=_fast_policy(),
             faults=plan,
             keep_going=True,
             telemetry=telemetry,
         )[0]
         report = FailureReport(failures=tuple(result.failures))
         assert sorted(report.loops()) == sorted(victims)
-        assert all(f.kind == DETERMINISTIC for f in report.failures)
+        assert all(f.error_type == "FaultInjected" for f in report.failures)
         assert not report.ok and len(report) == 2
         assert telemetry.failed_loops == 2
         # Everything else was still scheduled.
@@ -293,14 +229,13 @@ class TestKeepGoing:
             benchmark="swim",
             loop_name="swim_loop0",
             scheduler="gp",
-            kind=TRANSIENT,
-            error_type="DeadlineExceededError",
-            message="chunk exceeded its 0.5s deadline (attempt 3)",
-            attempts=3,
+            error_type="FaultInjected",
+            message="injected deterministic failure",
+            attempts=1,
         )
         report = FailureReport(failures=(failure,))
         text = report.render()
-        assert "swim/swim_loop0" in text and "transient" in text
+        assert "swim/swim_loop0" in text and "FaultInjected" in text
         payload = report.to_dict()
         assert payload["failed_loops"] == 1
         assert payload["failures"][0]["loop"] == "swim_loop0"
@@ -344,23 +279,15 @@ class TestMidSubmitBrokenPool:
         self, mini_suite, fault_free_export
     ):
         pool = EvaluationPool(jobs=2)
+        telemetry = RunTelemetry()
         try:
             self._break_pool(pool)
             result = run_requests(
-                [(_gp(), mini_suite)],
-                pool=pool,
-                policy=_fast_policy(),
+                [(_gp(), mini_suite)], pool=pool, telemetry=telemetry
             )[0]
             assert _canonical(result) == fault_free_export
-        finally:
-            pool.shutdown()
-
-    def test_fail_fast_policy_surfaces_it_as_loop_error(self, mini_suite):
-        pool = EvaluationPool(jobs=2)
-        try:
-            self._break_pool(pool)
-            with pytest.raises(LoopTaskError):
-                run_requests([(_gp(), mini_suite)], pool=pool)
+            assert telemetry.rebuilds == 1
+            assert telemetry.degraded_chunks == 0
         finally:
             pool.shutdown()
 

@@ -1,10 +1,10 @@
 """Determinism and failure-surfacing tests for the parallel batch runner.
 
-The contract under test: for any ``--jobs`` value the parallel runner's
+The contract under test: for any ``--jobs`` value the batch runner's
 results — per-loop IPC, II, stages, bus/mem-comm/spill stats, rendered
 tables, machine-readable exports — are byte-identical to the sequential
-path, and a worker that raises (or dies) produces a clear per-loop error
-instead of a hung pool.
+path, a task that raises produces the same per-loop error at every
+``jobs``, and workers that keep dying never hang the batch.
 """
 
 import multiprocessing
@@ -13,18 +13,16 @@ import os
 import pytest
 
 from repro.eval.export import figure_to_csv, suite_result_to_json
+from repro.eval.faults import Fault, FaultPlan
 from repro.eval.figures import figure2_panel
 from repro.eval.parallel import (
+    MAX_REBUILDS,
     EvaluationPool,
     LoopTaskError,
-    as_completed_suites,
-    evaluation_pool,
+    RunTelemetry,
     resolve_chunksize,
     resolve_jobs,
-    resolve_mp_context,
     run_requests,
-    run_suite_parallel,
-    submit_suite,
 )
 from repro.eval.runner import run_suite
 from repro.service import SCHEDULERS
@@ -52,15 +50,6 @@ class _CrashingScheduler(BaseScheduler):
         from repro.schedule.engine import AllClustersPolicy
 
         return AllClustersPolicy(self.machine.num_clusters)
-
-
-class _DyingScheduler(BaseScheduler):
-    """Kills its worker process outright (the BrokenProcessPool case)."""
-
-    name = "dying"
-
-    def schedule(self, loop):
-        os._exit(13)
 
 
 class _SessionCorruptingScheduler(BaseScheduler):
@@ -100,40 +89,25 @@ class TestResolveJobs:
 
 
 class TestResolveMpContext:
+    """How the pool resolves its multiprocessing start method."""
+
     def test_default_prefers_forkserver_on_posix(self):
         expected = (
             "forkserver"
             if "forkserver" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        assert resolve_mp_context(None) == expected
-
-    def test_explicit_value_passes_through(self):
-        assert resolve_mp_context("spawn") == "spawn"
-
-    def test_fork_and_garbage_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_mp_context("fork")
-        with pytest.raises(ReproError):
-            resolve_mp_context("banana")
+        assert EvaluationPool(jobs=2).start_method == expected
 
 
 class TestResolveChunksize:
-    def test_explicit_value_passes_through(self):
-        assert resolve_chunksize(1, total_items=100, jobs=4) == 1
-        assert resolve_chunksize(7, total_items=100, jobs=4) == 7
-
     def test_heuristic_amortizes_but_load_balances(self):
         # ~4 waves of chunks per worker.
-        assert resolve_chunksize(None, total_items=220, jobs=4) == 14
+        assert resolve_chunksize(total_items=220, jobs=4) == 14
         # Tiny suites stay at one loop per task.
-        assert resolve_chunksize(None, total_items=3, jobs=8) == 1
+        assert resolve_chunksize(total_items=3, jobs=8) == 1
         # Huge tiers are capped so one slow loop can't starve the pool.
-        assert resolve_chunksize(None, total_items=100_000, jobs=2) == 32
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_chunksize(0, total_items=10, jobs=2)
+        assert resolve_chunksize(total_items=100_000, jobs=2) == 32
 
 
 class TestDeterministicMerge:
@@ -149,11 +123,11 @@ class TestDeterministicMerge:
         return suite_result_to_json(result, timing=False)
 
     @pytest.mark.parametrize(
-        "jobs,chunksize",
+        "jobs,chunk",
         [
             (1, None),
-            (2, None),   # automatic chunking heuristic
-            (2, 1),      # one future per loop (the pre-chunking dispatch)
+            (2, None),   # the chunking heuristic
+            (2, 1),      # one loop per chunk
             (2, 3),
             (2, 1000),   # one chunk swallows the whole suite
             (8, None),
@@ -161,27 +135,31 @@ class TestDeterministicMerge:
         ],
     )
     def test_byte_identical_export(
-        self, paper_suite, sequential_export, jobs, chunksize
+        self, paper_suite, sequential_export, pin_chunk_size, jobs, chunk
     ):
+        pin_chunk_size(chunk)
         result = run_suite(
-            paper_suite,
-            SCHEDULERS.create("gp", two_cluster(32)),
-            jobs=jobs,
-            chunksize=chunksize,
+            paper_suite, SCHEDULERS.create("gp", two_cluster(32)), jobs=jobs
         )
         assert suite_result_to_json(result, timing=False) == sequential_export
 
-    @pytest.mark.parametrize("mp_context", ["spawn", "forkserver"])
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
     def test_byte_identical_under_both_start_methods(
-        self, paper_suite, sequential_export, mp_context
+        self, paper_suite, sequential_export, start_method
     ):
-        if mp_context not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"{mp_context} unavailable on this platform")
-        result = run_requests(
-            [(SCHEDULERS.create("gp", two_cluster(32)), paper_suite)],
-            jobs=2,
-            mp_context=mp_context,
-        )[0]
+        """The pool picks forkserver where the platform has it and spawn
+        elsewhere; both kinds of worker compute the same results."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        pool = EvaluationPool(jobs=2)
+        pool.start_method = start_method
+        try:
+            result = run_requests(
+                [(SCHEDULERS.create("gp", two_cluster(32)), paper_suite)],
+                pool=pool,
+            )[0]
+        finally:
+            pool.shutdown()
         assert suite_result_to_json(result, timing=False) == sequential_export
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -199,20 +177,22 @@ class TestDeterministicMerge:
         assert suite_result_to_json(result, timing=False) == sequential_export
 
     def test_shared_pool_reused_across_calls(self, paper_suite):
-        """One evaluation_pool serves several run_requests calls."""
+        """One EvaluationPool serves several run_requests calls."""
         mini = paper_suite[:1]
         machine = two_cluster(32)
         sequential = [
             suite_result_to_json(run_suite(mini, scheduler), timing=False)
             for scheduler in (GPScheduler(machine), UracamScheduler(machine))
         ]
-        with evaluation_pool(jobs=2) as pool:
+        pool = EvaluationPool(jobs=2)
+        try:
             first = run_requests([(GPScheduler(machine), mini)], pool=pool)
             executor = pool._executor
             assert executor is not None  # spawned once...
             second = run_requests([(UracamScheduler(machine), mini)], pool=pool)
             assert pool._executor is executor  # ...and reused, not respawned
-        assert pool._executor is None  # context exit shuts it down
+        finally:
+            pool.shutdown()
         pooled = [
             suite_result_to_json(result[0], timing=False)
             for result in (first, second)
@@ -240,22 +220,41 @@ class TestDeterministicMerge:
 
 
 class TestFailureSurfacing:
-    def test_worker_exception_names_the_loop(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_exception_names_the_loop(self, jobs):
+        """One error surface: the same LoopTaskError in-process and pooled."""
         suite = spec_suite()[:1]
         victim = suite[0].loops[1].name
         scheduler = _CrashingScheduler(two_cluster(32), victim=victim)
         with pytest.raises(LoopTaskError) as excinfo:
-            run_suite_parallel(suite, scheduler, jobs=2)
+            run_suite(suite, scheduler, jobs=jobs)
         assert victim in str(excinfo.value)
         assert suite[0].name in str(excinfo.value)
         assert excinfo.value.loop_name == victim
+        assert isinstance(excinfo.value.cause, RuntimeError)
 
     def test_dead_worker_does_not_hang(self):
+        """Every pooled execution of every loop kills its worker: the pool
+        is rebuilt MAX_REBUILDS times, then the whole batch runs
+        in-process, byte-identical to the sequential run."""
         suite = spec_suite()[:1]
-        with pytest.raises(LoopTaskError) as excinfo:
-            run_suite_parallel(suite, _DyingScheduler(two_cluster(32)), jobs=2)
-        # The pool is broken, not hung, and the error names affected work.
-        assert excinfo.value.benchmark == suite[0].name
+        plan = FaultPlan(
+            faults=tuple(
+                Fault(suite[0].name, loop.name, "crash", attempt=None)
+                for loop in suite[0].loops
+            )
+        )
+        telemetry = RunTelemetry()
+        scheduler = GPScheduler(two_cluster(32))
+        result = run_requests(
+            [(scheduler, suite)], jobs=2, faults=plan, telemetry=telemetry
+        )[0]
+        expected = run_suite(suite, GPScheduler(two_cluster(32)))
+        assert suite_result_to_json(
+            result, timing=False
+        ) == suite_result_to_json(expected, timing=False)
+        assert telemetry.rebuilds == MAX_REBUILDS
+        assert telemetry.degraded_chunks == telemetry.chunks
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_validate_each_surfaces_bad_schedule_as_loop_error(self, jobs):
@@ -313,61 +312,3 @@ class TestPoolLifecycle:
         # The fresh executor actually works.
         assert executor.submit(max, 2, 3).result() == 3
         pool.shutdown()
-
-
-class TestStreamingFailures:
-    """Satellite: as_completed_suites with failing SuiteTasks."""
-
-    @pytest.fixture(scope="class")
-    def mini(self):
-        return spec_suite()[:1]
-
-    def test_failing_task_is_isolated(self, mini):
-        victim = mini[0].loops[0].name
-        machine = two_cluster(32)
-        with evaluation_pool(jobs=2) as pool:
-            good_a = submit_suite(GPScheduler(machine), mini, pool=pool)
-            bad = submit_suite(
-                _CrashingScheduler(machine, victim=victim), mini, pool=pool
-            )
-            good_b = submit_suite(UracamScheduler(machine), mini, pool=pool)
-            tasks = [good_a, bad, good_b]
-            completed = list(as_completed_suites(tasks))
-            # Every task is yielded exactly once, and yielded tasks are done.
-            assert sorted(map(id, completed)) == sorted(map(id, tasks))
-            assert all(task.done() for task in completed)
-            # The failing task raises from result() — the others don't care.
-            with pytest.raises(LoopTaskError) as excinfo:
-                bad.result()
-            assert excinfo.value.loop_name == victim
-            # ...and raises the *same* error again on re-request.
-            with pytest.raises(LoopTaskError):
-                bad.result()
-            expected = suite_result_to_json(
-                run_suite(mini, GPScheduler(machine)), timing=False
-            )
-            assert suite_result_to_json(good_a.result(), timing=False) == expected
-            assert good_b.result().scheduler == "uracam"
-
-    def test_lazy_tasks_yield_before_pool_tasks_and_fail_lazily(self, mini):
-        victim = mini[0].loops[0].name
-        machine = two_cluster(32)
-        lazy_bad = submit_suite(_CrashingScheduler(machine, victim=victim), mini)
-        lazy_good = submit_suite(GPScheduler(machine), mini)
-        order = list(as_completed_suites([lazy_bad, lazy_good]))
-        assert order == [lazy_bad, lazy_good]  # given order, no pool
-        # The lazy path is plain run_suite: the scheduler's own error
-        # propagates unwrapped, exactly as a sequential call would raise.
-        with pytest.raises(RuntimeError, match="injected scheduler crash"):
-            lazy_bad.result()
-        assert lazy_good.result().scheduler == "gp"
-
-    def test_dead_worker_surfaces_from_result_not_iteration(self, mini):
-        machine = two_cluster(32)
-        with evaluation_pool(jobs=2) as pool:
-            dying = submit_suite(_DyingScheduler(machine), mini, pool=pool)
-            good = submit_suite(GPScheduler(machine), mini, pool=pool)
-            completed = list(as_completed_suites([dying, good]))
-            assert sorted(map(id, completed)) == sorted(map(id, [dying, good]))
-            with pytest.raises(LoopTaskError):
-                dying.result()

@@ -3,10 +3,10 @@
 Covers the error paths (unknown scheduler/machine names, conflicting
 request knobs), the deterministic fingerprint (stable across field
 order, sensitive to content), the session's fingerprint cache (hit/miss
-metadata, payload sharing), the streaming batch interface, and — the
-load-bearing guarantee — that façade-built responses are bit-identical
-to the legacy ``run_suite`` path at several ``jobs``/``chunksize``
-combinations.
+metadata, payload sharing), the default session's failure posture, and
+— the load-bearing guarantee — that façade-built responses are
+bit-identical to the legacy ``run_suite`` path at several ``jobs`` and
+chunk sizes.
 """
 
 import pytest
@@ -24,7 +24,6 @@ from repro.service import (
     RegistryError,
     ReproService,
     RequestError,
-    RetryPolicy,
     ScheduleRequest,
     SchedulerRegistry,
 )
@@ -310,57 +309,6 @@ class TestSessionCache:
 
 
 # ----------------------------------------------------------------------
-# Streaming batches
-# ----------------------------------------------------------------------
-class TestStreaming:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_submit_and_as_completed(self, jobs):
-        requests = [
-            EvaluationRequest(
-                scheduler=name, machine="2x32", suite=mini_suite()
-            )
-            for name in ("gp", "uracam", "fixed-partition")
-        ]
-        with ReproService(jobs=jobs) as service:
-            handles = [service.submit(request) for request in requests]
-            responses = {
-                response.request.scheduler: response
-                for response in service.as_completed(handles)
-            }
-            assert set(responses) == {"gp", "uracam", "fixed-partition"}
-            # Streamed results land in the cache and match evaluate().
-            replay = service.evaluate(requests[0])
-            assert replay.meta.cache_hit
-            assert replay.result is responses["gp"].result
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_duplicate_inflight_submit_shares_the_task(self, jobs):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        with ReproService(jobs=jobs) as service:
-            first = service.submit(request)
-            duplicate = service.submit(request)
-            assert duplicate._task is first._task
-            assert (service.cache_hits, service.cache_misses) == (1, 1)
-            responses = list(service.as_completed([first, duplicate]))
-            assert len(responses) == 2
-            assert responses[0].result is responses[1].result
-            hits = [r.meta.cache_hit for r in responses]
-            assert sorted(hits) == [False, True]
-
-    def test_submit_of_cached_request_completes_immediately(self):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        with ReproService() as service:
-            service.evaluate(request)
-            handle = service.submit(request)
-            assert handle.done()
-            assert handle.response().meta.cache_hit
-
-
-# ----------------------------------------------------------------------
 # Fault tolerance through the session
 # ----------------------------------------------------------------------
 class TestSessionFaultTolerance:
@@ -398,11 +346,7 @@ class TestSessionFaultTolerance:
             run_suite(list(mini_suite()), GPScheduler(two_cluster(32))),
             timing=False,
         )
-        with ReproService(
-            jobs=2,
-            policy=RetryPolicy(sleep=lambda _s: None),
-            faults=self._crash_plan(),
-        ) as service:
+        with ReproService(jobs=2, faults=self._crash_plan()) as service:
             response = service.evaluate(request)
             assert response.ok
             assert suite_result_to_json(response.result, timing=False) == clean
@@ -421,10 +365,7 @@ class TestSessionFaultTolerance:
         )
         victim = mini_suite()[0].loops[0].name
         with ReproService(
-            jobs=jobs,
-            policy=RetryPolicy(sleep=lambda _s: None),
-            faults=self._raise_plan(),
-            keep_going=True,
+            jobs=jobs, faults=self._raise_plan(), keep_going=True
         ) as service:
             response = service.evaluate(request)
             assert not response.ok
@@ -437,35 +378,16 @@ class TestSessionFaultTolerance:
             again = service.evaluate(request)
             assert not again.meta.cache_hit
 
-    def test_streamed_submit_heals_transients_too(self):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        clean = suite_result_to_json(
-            run_suite(list(mini_suite()), GPScheduler(two_cluster(32))),
-            timing=False,
-        )
-        with ReproService(
-            jobs=2,
-            policy=RetryPolicy(sleep=lambda _s: None),
-            faults=self._crash_plan(),
-        ) as service:
-            handle = service.submit(request)
-            response = handle.response()
-            assert suite_result_to_json(response.result, timing=False) == clean
-            assert response.meta.telemetry is not None
-            assert response.meta.telemetry.retries >= 1
-            assert service.telemetry.retries >= 1
-
 
 # ----------------------------------------------------------------------
 # Façade == legacy, bit for bit
 # ----------------------------------------------------------------------
 class TestFacadeLegacyEquivalence:
     @pytest.mark.parametrize(
-        "jobs,chunksize", [(1, None), (2, None), (2, 1), (3, 7)]
+        "jobs,chunk", [(1, None), (2, None), (2, 1), (3, 7)]
     )
-    def test_bit_identical_to_run_suite(self, jobs, chunksize):
+    def test_bit_identical_to_run_suite(self, pin_chunk_size, jobs, chunk):
+        pin_chunk_size(chunk)
         suite = spec_suite()[:2]
         legacy = suite_result_to_json(
             run_suite(suite, GPScheduler(two_cluster(32))), timing=False
@@ -473,23 +395,11 @@ class TestFacadeLegacyEquivalence:
         request = EvaluationRequest(
             scheduler="gp", machine="2x32", suite=tuple(suite)
         )
-        with ReproService(jobs=jobs, chunksize=chunksize) as service:
+        with ReproService(jobs=jobs) as service:
             via_evaluate = suite_result_to_json(
                 service.evaluate(request).result, timing=False
             )
-            via_stream = suite_result_to_json(
-                next(
-                    iter(service.as_completed([service.submit(
-                        EvaluationRequest(
-                            scheduler="gp", machine=two_cluster(32),
-                            suite=tuple(suite),
-                        )
-                    )]))
-                ).result,
-                timing=False,
-            )
         assert via_evaluate == legacy
-        assert via_stream == legacy
 
     def test_symbolic_and_pinned_machines_agree(self):
         request_symbolic = EvaluationRequest(
@@ -558,22 +468,6 @@ class TestSessionStoreSeam:
         assert replayed.meta.store.hit is True
         assert replayed.outcome.ipc() == computed.outcome.ipc()
 
-    def test_submit_served_from_store(self):
-        from repro.service import MemoryStore
-
-        store = MemoryStore()
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        with ReproService(jobs=1, store=store) as first:
-            first.evaluate(request)
-        with ReproService(jobs=1, store=store) as second:
-            handle = second.submit(request)
-            assert handle.done()
-            response = handle.response()
-            assert response.meta.cache_hit is True
-            assert response.meta.store.hit is True
-
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_partial_results_are_never_persisted(self, jobs):
         from repro.service import MemoryStore
@@ -598,7 +492,6 @@ class TestSessionStoreSeam:
             store=store,
             keep_going=True,
             faults=plan,
-            policy=RetryPolicy(sleep=lambda _s: None),
         ) as service:
             response = service.evaluate(request)
             assert not response.ok
@@ -613,7 +506,7 @@ class TestSessionStoreSeam:
         )
         with ReproService(jobs=1, store=store) as first:
             good = first.evaluate(request)
-        store._entries[request.fingerprint()] = '{"schema": "repro-codec/2", tr'
+        store._entries[request.fingerprint()] = '{"schema": "repro-codec/3", tr'
         with ReproService(jobs=1, store=store) as second:
             recomputed = second.evaluate(request)
         assert recomputed.meta.cache_hit is False
@@ -691,7 +584,10 @@ class TestStoreEntries:
         with ReproService(store=store) as service:
             assert service.schedule(wrong).meta.store.hit is True
 
-    def test_v1_entry_is_recomputed_and_rewritten_as_v2(self, tmp_path):
+    @pytest.mark.parametrize("old_schema", ["repro-codec/1", "repro-codec/2"])
+    def test_old_entry_is_recomputed_and_rewritten_in_current_schema(
+        self, tmp_path, old_schema
+    ):
         import json
         import os
 
@@ -703,12 +599,14 @@ class TestStoreEntries:
             computed = service.schedule(request)
         fingerprint = request.fingerprint()
         old = json.loads(store.get(fingerprint))
-        old["schema"] = "repro-codec/1"
-        old["request"] = {
-            "schema": "repro-codec/1",
-            "kind": "schedule",
-            "loop": {"name": "stencil5", "operations": [], "dependences": []},
-        }
+        old["schema"] = old_schema
+        if old_schema == "repro-codec/1":
+            # v1 entries also carried the full request.
+            old["request"] = {
+                "schema": "repro-codec/1",
+                "kind": "schedule",
+                "loop": {"name": "stencil5", "operations": [], "dependences": []},
+            }
         store.put(fingerprint, json.dumps(old))
         with ReproService(store=store) as service:
             recomputed = service.schedule(request)
@@ -717,7 +615,7 @@ class TestStoreEntries:
         assert os.listdir(tmp_path / "store" / "quarantine")
         assert recomputed.ipc() == computed.ipc()
         rewritten = json.loads(store.get(fingerprint))
-        assert rewritten["schema"] == CODEC_SCHEMA == "repro-codec/2"
+        assert rewritten["schema"] == CODEC_SCHEMA == "repro-codec/3"
         assert "request" not in rewritten
 
 
