@@ -31,6 +31,7 @@ operation classes) is precomputed at construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -173,6 +174,8 @@ class PartitionEstimator:
             (self._index_of[src], self._index_of[dst], lat, distance, carries)
             for src, dst, lat, distance, carries in self._edges
         ]
+        self._edge_src = [e[0] for e in self._iedges]
+        self._edge_dst = [e[1] for e in self._iedges]
         self._latency_arr = [self._op_latency[uid] for uid in self._uids]
         self._class_arr = [self._class_of[uid] for uid in self._uids]
         # ii -> per-edge base length (latency - ii*distance), reused across
@@ -220,6 +223,7 @@ class PartitionEstimator:
         bound: Optional[int] = None,
         cluster_class_counts: Optional[Sequence[Sequence[int]]] = None,
         comm_state: "Optional[CommState]" = None,
+        tie_break: Optional[Tuple[int, int]] = None,
     ) -> Optional[PartitionEstimate]:
         """Estimate the execution time of ``assignment`` (§3.2.2).
 
@@ -228,7 +232,10 @@ class PartitionEstimator:
         remaining computation — the refiner passes its incumbent score so
         clearly-losing candidate moves are rejected early.  The pruning is
         exact: it fires only when the true estimate is strictly worse than
-        ``bound``.
+        ``bound``.  ``tie_break`` — the incumbent's ``(-cut_slack,
+        cut_edges)`` — extends the prune to ties: when the exec time can
+        only be ``>= bound`` and the candidate's tie-break is not below the
+        incumbent's, its score cannot beat ``(bound, *tie_break)``.
 
         ``cluster_class_counts[cluster][class index]`` — the operation
         counts the refiner already maintains incrementally — skips this
@@ -251,6 +258,7 @@ class PartitionEstimator:
                 bound=bound,
                 cluster_class_counts=cluster_class_counts,
                 assignment=assignment,
+                tie_break=tie_break,
             )
         # One fused sweep over the value-carrying edges: cut edge indices
         # (reused by the critical path), transfer pairs, per-cluster
@@ -282,6 +290,7 @@ class PartitionEstimator:
             cluster_class_counts=cluster_class_counts,
             assignment=assignment,
             asg=asg,
+            tie_break=tie_break,
         )
 
     def _price(
@@ -295,6 +304,7 @@ class PartitionEstimator:
         cluster_class_counts: Optional[Sequence[Sequence[int]]],
         assignment: Optional[Assignment] = None,
         asg: Optional[List[int]] = None,
+        tie_break: Optional[Tuple[int, int]] = None,
     ) -> Optional[PartitionEstimate]:
         """Shared pricing tail of :meth:`estimate` and :meth:`estimate_preview`.
 
@@ -309,14 +319,6 @@ class PartitionEstimator:
             else 0
         )
         trip = self.loop.trip_count - 1
-        if bound is not None:
-            # Early exact prune: ii_est can only be >= max(ii, ii_bus), and
-            # no partition's critical path undercuts the uncut floor.
-            floor = self._path_floor()
-            if floor is not None and (
-                trip * max(self.ii, ii_bus) + floor > bound
-            ):
-                return None
         # Transfers the bus cannot absorb at the requested interval will go
         # through memory (§3.1/§3.3.2): a store in the producer's cluster
         # plus a load in the consumer's.  Charge that port usage to the
@@ -340,29 +342,41 @@ class PartitionEstimator:
             res_ii = self._cluster_res_mii(asg, mem_extra)
         ii_est = max(self.ii, ii_bus, res_ii)
 
+        path_limit = None
         if bound is not None:
             # Second exact prune with the tighter ii_est.  When ii_est is
             # provably feasible for any cut set (>= the all-cut recurrence
             # MII) the uncut path *at ii_est* is a valid floor; otherwise
             # the II could still rise and shrink the path, so only the
-            # global floor is sound.
-            if ii_est >= self._all_cut_mii():
+            # global floor is sound.  Either way ``trip * ii_est + floor``
+            # bounds the exec time from below, so a candidate that can at
+            # best tie ``bound`` loses unless its tie-break is lower.
+            ties_lose = (
+                tie_break is not None and (-slack_total, cut_count) >= tie_break
+            )
+            feasible = ii_est >= self._all_cut_mii()
+            if feasible:
                 floor = self._nocut_at(ii_est)
-                if floor is not None and trip * ii_est + floor > bound:
-                    return None
             else:
                 floor = self._path_floor()
-                if floor is not None and trip * ii_est + floor > bound:
+            if floor is not None:
+                lower = trip * ii_est + floor
+                if lower > bound or (lower == bound and ties_lose):
                     return None
+            if feasible:
+                # ii_est stays, so a path above this loses too.
+                path_limit = bound - trip * ii_est - ties_lose
 
         if callable(cut_idx):
             cut_idx = cut_idx()
-        path = self._longest_path(cut_idx, ii_est)
+        path = self._longest_path(cut_idx, ii_est, path_limit)
         if path is None:
             ii_est = self._rec_mii_with_cut(cut_idx, lower_bound=ii_est)
             path = self._longest_path(cut_idx, ii_est)
             if path is None:  # pragma: no cover - defensive
                 raise PartitionError("estimator failed to converge")
+        elif path_limit is not None and path > path_limit:
+            return None
 
         exec_time = trip * ii_est + path
         return PartitionEstimate(
@@ -387,11 +401,13 @@ class PartitionEstimator:
         preview: "CommPreview",
         bound: Optional[int] = None,
         cluster_class_counts: Optional[Sequence[Sequence[int]]] = None,
+        tie_break: Optional[Tuple[int, int]] = None,
     ) -> Optional[PartitionEstimate]:
         """Price a previewed move set without mutating any state.
 
         ``cluster_class_counts`` is required (there is no assignment to
-        recount from).
+        recount from); ``bound`` and ``tie_break`` prune as in
+        :meth:`estimate`.
         """
         if cluster_class_counts is None:
             raise PartitionError("estimate_preview requires cluster_class_counts")
@@ -403,7 +419,34 @@ class PartitionEstimator:
             cut_idx=preview.cut_for_path,
             bound=bound,
             cluster_class_counts=cluster_class_counts,
+            tie_break=tie_break,
         )
+
+    def ncomm_ceiling(self, bound: int) -> Optional[int]:
+        """Most transfers a partition may need and still price ``<= bound``.
+
+        ``ii_est >= max(ii, IIbus)`` and no critical path undercuts the
+        uncut floor, so ``trip * max(ii, IIbus) + floor > bound`` proves a
+        partition prices above ``bound``.  That test depends on the
+        partition only through ``ncomm``, so the refiner turns its
+        incumbent's exec time into this ceiling once and drops every
+        candidate above it before building a preview (the later prunes of
+        :meth:`_price` would reject it too).  None means no ``ncomm`` is
+        too large; -1 means every partition prices above ``bound``.
+        """
+        floor = self._path_floor()
+        trip = self.loop.trip_count - 1
+        if floor is None:
+            return None
+        if trip == 0:
+            return -1 if floor > bound else None
+        cycles = (bound - floor) // trip
+        if self.ii > cycles:
+            return -1
+        if not self._clustered:
+            return None
+        # ceil(ncomm * lat / buses) <= cycles  <=>  ncomm <= this.
+        return cycles * self._num_buses // self._bus_latency
 
     def _path_floor(self) -> Optional[int]:
         """The uncut critical path at an II no estimate can exceed.
@@ -477,14 +520,18 @@ class PartitionEstimator:
         return worst
 
     def _longest_path(
-        self, cut_idx: Optional[Sequence[int]], ii: int
+        self, cut_idx: Optional[Sequence[int]], ii: int,
+        limit: Optional[int] = None,
     ) -> Optional[int]:
         """Critical path with bus delays on cut DATA edges, or None if the
         modified recurrences make ``ii`` infeasible.
 
         ``cut_idx`` lists the cut edges' indices into ``_iedges`` (None =
         no cut edges); the per-edge base lengths are cached per II across
-        estimates.
+        estimates.  With ``limit`` (only for an ``ii`` feasible for every
+        cut set), the sweep stops at the first path found longer than
+        ``limit`` and returns its length: distances only grow towards the
+        fixpoint, so the critical path exceeds ``limit`` too.
         """
         n = self._n
         if not n:
@@ -500,18 +547,25 @@ class PartitionEstimator:
             lengths = list(base)
             for i in cut_idx:
                 lengths[i] += bus
-        iedges = self._iedges
+        edge_src = self._edge_src
+        edge_dst = self._edge_dst
+        latency_arr = self._latency_arr
+        if limit is None:
+            limit = math.inf
+        elif max(latency_arr) > limit:
+            return max(latency_arr)
         dist = [0] * n
         for _ in range(n + 1):
             changed = False
-            for (si, di, _lat, _distance, _c), length in zip(iedges, lengths):
+            for si, di, length in zip(edge_src, edge_dst, lengths):
                 cand = dist[si] + length
                 if cand > dist[di]:
                     dist[di] = cand
                     changed = True
+                    if cand + latency_arr[di] > limit:
+                        return cand + latency_arr[di]
             if not changed:
-                latency_arr = self._latency_arr
-                return max(dist[i] + latency_arr[i] for i in range(n))
+                return max(map(operator.add, dist, latency_arr))
         return None
 
     # ------------------------------------------------------------------
@@ -554,6 +608,11 @@ class CommState:
     updated per moved operation instead of per edge.  :meth:`verify`
     cross-checks against the full sweep and is exercised by the tests.
 
+    Transfer pairs are counted in one flat list indexed ``si * C + cd``
+    (producer uid index ``si``, consumer cluster ``cd``, ``C`` clusters),
+    with the set of nonzero indexes kept alongside, so the refiner can
+    read a candidate's ``ncomm`` from plain list lookups.
+
     Subclasses may piggyback further delta-maintained quantities on the
     same move stream — :class:`~repro.partition.pressure.PressureCommState`
     keeps the register-pressure session of the pressure-aware estimator in
@@ -564,43 +623,47 @@ class CommState:
     __slots__ = (
         "est",
         "asg",
-        "edge_clusters",
+        "clusters",
         "cut",
         "slack_total",
         "pair_counts",
+        "live_pairs",
     )
 
     def __init__(self, est: PartitionEstimator, assignment: Assignment) -> None:
         self.est = est
         self.asg = [assignment[uid] for uid in est._uids]
-        self.edge_clusters: Dict[int, Tuple[int, int]] = {}
+        self.clusters = est.machine.num_clusters
         self.cut: Set[int] = set()
         self.slack_total = 0
-        self.pair_counts: Dict[Tuple[int, int], int] = {}
+        #: Cut edges per transfer pair, indexed ``si * clusters + cd``.
+        self.pair_counts: List[int] = [0] * (est._n * self.clusters)
+        #: Indexes of the nonzero ``pair_counts`` entries.
+        self.live_pairs: Set[int] = set()
         asg = self.asg
         for i, si, di, slack in est._carry_edges:
-            cs = asg[si]
             cd = asg[di]
-            self.edge_clusters[i] = (cs, cd)
-            if cs != cd:
+            if asg[si] != cd:
                 self._add_cut(i, si, slack, cd)
 
     # -- internal ------------------------------------------------------
     def _add_cut(self, i: int, si: int, slack: int, cd: int) -> None:
         self.cut.add(i)
         self.slack_total += slack
-        pair = (si, cd)
-        self.pair_counts[pair] = self.pair_counts.get(pair, 0) + 1
+        pair = si * self.clusters + cd
+        count = self.pair_counts[pair]
+        if not count:
+            self.live_pairs.add(pair)
+        self.pair_counts[pair] = count + 1
 
     def _remove_cut(self, i: int, si: int, slack: int, cd: int) -> None:
         self.cut.discard(i)
         self.slack_total -= slack
-        pair = (si, cd)
+        pair = si * self.clusters + cd
         count = self.pair_counts[pair] - 1
-        if count:
-            self.pair_counts[pair] = count
-        else:
-            del self.pair_counts[pair]
+        if not count:
+            self.live_pairs.discard(pair)
+        self.pair_counts[pair] = count
 
     def derive_comm_mem(self) -> List[int]:
         """Per-cluster memory-route usage of the current transfer pairs.
@@ -610,9 +673,11 @@ class CommState:
         pair alive charge the right cluster (a running counter updated on
         pair create/destroy would go stale).
         """
-        mem = [0] * self.est.machine.num_clusters
+        clusters = self.clusters
+        mem = [0] * clusters
         asg = self.asg
-        for si, cd in self.pair_counts:
+        for pair in self.live_pairs:
+            si, cd = divmod(pair, clusters)
             mem[asg[si]] += 1
             mem[cd] += 1
         return mem
@@ -621,8 +686,10 @@ class CommState:
     def records_for(self, uids: Sequence[int]) -> Tuple[Tuple[int, int, int, int], ...]:
         """Deduplicated incident carry-edge records of a group of uids.
 
-        The refiner precomputes these per hierarchy group so repeated
-        trial moves of the same group skip the per-uid union.
+        What :meth:`move_uids` and :meth:`preview_moves` need per moved
+        group; records of edges inside the group may be left out, since a
+        group move never changes them (the refiner passes each group's
+        boundary records).
         """
         est = self.est
         index_of = est._index_of
@@ -648,11 +715,10 @@ class CommState:
         asg = self.asg
         if records is None:
             records = self.records_for(uids)
+        before = [(asg[si], asg[di]) for _i, si, di, _slack in records]
         for uid in uids:
             asg[index_of[uid]] = target
-        edge_clusters = self.edge_clusters
-        for i, si, di, slack in records:
-            old_cs, old_cd = edge_clusters[i]
+        for (i, si, di, slack), (old_cs, old_cd) in zip(records, before):
             new_cs = asg[si]
             new_cd = asg[di]
             if old_cs == new_cs and old_cd == new_cd:
@@ -661,7 +727,6 @@ class CommState:
                 self._remove_cut(i, si, slack, old_cd)
             if new_cs != new_cd:
                 self._add_cut(i, si, slack, new_cd)
-            edge_clusters[i] = (new_cs, new_cd)
 
     def preview_moves(
         self,
@@ -671,12 +736,13 @@ class CommState:
 
         ``moves`` is a sequence of ``(uids, records, target_cluster)`` —
         one entry per group move (two entries model a swap).  The refiner
-        scores every candidate through a preview and only mutates for the
-        round's single winner.
+        scores the candidates that survive its ``ncomm`` prune through a
+        preview and only mutates for the round's single winner.
         """
         est = self.est
         index_of = est._index_of
         asg = self.asg
+        clusters = self.clusters
         over: Dict[int, int] = {}
         records_union: Dict[int, Tuple[int, int, int, int]] = {}
         for uids, records, target in moves:
@@ -686,34 +752,34 @@ class CommState:
                 records_union[record[0]] = record
         slack_total = self.slack_total
         cut_count = len(self.cut)
-        ncomm = len(self.pair_counts)
-        pair_delta: Dict[Tuple[int, int], int] = {}
+        ncomm = len(self.live_pairs)
+        pair_delta: Dict[int, int] = {}
         cut_removed: List[int] = []
         cut_added: List[int] = []
-        edge_clusters = self.edge_clusters
         pair_counts = self.pair_counts
         for i, si, di, slack in records_union.values():
-            old_cs, old_cd = edge_clusters[i]
-            new_cs = over.get(si, asg[si])
-            new_cd = over.get(di, asg[di])
+            old_cs = asg[si]
+            old_cd = asg[di]
+            new_cs = over.get(si, old_cs)
+            new_cd = over.get(di, old_cd)
             if old_cs == new_cs and old_cd == new_cd:
                 continue
             if old_cs != old_cd:
                 cut_count -= 1
                 slack_total -= slack
                 cut_removed.append(i)
-                pair = (si, old_cd)
+                pair = si * clusters + old_cd
                 delta = pair_delta.get(pair, 0) - 1
                 pair_delta[pair] = delta
-                if pair_counts.get(pair, 0) + delta == 0:
+                if pair_counts[pair] + delta == 0:
                     ncomm -= 1
             if new_cs != new_cd:
                 cut_count += 1
                 slack_total += slack
                 cut_added.append(i)
-                pair = (si, new_cd)
+                pair = si * clusters + new_cd
                 delta = pair_delta.get(pair, 0)
-                if pair_counts.get(pair, 0) + delta == 0:
+                if pair_counts[pair] + delta == 0:
                     ncomm += 1
                 pair_delta[pair] = delta + 1
         return CommPreview(
@@ -724,21 +790,25 @@ class CommState:
     # -- queries -------------------------------------------------------
     @property
     def ncomm(self) -> int:
-        return len(self.pair_counts)
+        return len(self.live_pairs)
 
     @property
     def cut_count(self) -> int:
         return len(self.cut)
 
     def verify(self, assignment: Assignment) -> None:
-        """Assert this state equals a fresh full-sweep derivation."""
+        """Assert this state equals a fresh full-sweep derivation.
+
+        Covers the flat pair-count list entry by entry, not just the live
+        pair set the ``ncomm`` reads come from.
+        """
         fresh = CommState(self.est, assignment)
         if (
             self.asg != fresh.asg
             or self.cut != fresh.cut
             or self.slack_total != fresh.slack_total
             or self.pair_counts != fresh.pair_counts
-            or self.edge_clusters != fresh.edge_clusters
+            or self.live_pairs != fresh.live_pairs
             or self.derive_comm_mem() != fresh.derive_comm_mem()
         ):
             raise AssertionError(
@@ -773,7 +843,7 @@ class CommPreview:
         ncomm: int,
         cut_count: int,
         slack_total: int,
-        pair_delta: Dict[Tuple[int, int], int],
+        pair_delta: Dict[int, int],
         cut_removed: List[int],
         cut_added: List[int],
     ) -> None:
@@ -796,18 +866,16 @@ class CommPreview:
     def derive_comm_mem(self) -> List[int]:
         """Per-cluster memory-route usage under this preview."""
         state = self.state
+        clusters = state.clusters
         asg = state.asg
         over = self.over
         pair_delta = self.pair_delta
-        mem = [0] * state.est.machine.num_clusters
-        for pair, count in state.pair_counts.items():
-            if count + pair_delta.get(pair, 0) > 0:
-                si, cd = pair
-                mem[over.get(si, asg[si])] += 1
-                mem[cd] += 1
-        for pair, delta in pair_delta.items():
-            if pair not in state.pair_counts and delta > 0:
-                si, cd = pair
+        pair_counts = state.pair_counts
+        mem = [0] * clusters
+        pairs = state.live_pairs.union(pair_delta)
+        for pair in pairs:
+            if pair_counts[pair] + pair_delta.get(pair, 0) > 0:
+                si, cd = divmod(pair, clusters)
                 mem[over.get(si, asg[si])] += 1
                 mem[cd] += 1
         return mem

@@ -66,7 +66,6 @@ class MultilevelPartitioner:
             ``"exact"`` (blossom, LEDA-fidelity).
         pressure_aware: Enable the register-pressure extension
             (:mod:`repro.partition.pressure`).
-        max_rounds: Refinement round cap per level.
     """
 
     def __init__(
@@ -74,7 +73,6 @@ class MultilevelPartitioner:
         machine: MachineConfig,
         matching: str = "greedy",
         pressure_aware: bool = False,
-        max_rounds: int = 64,
     ) -> None:
         if matching not in MATCHERS:
             raise PartitionError(
@@ -83,7 +81,6 @@ class MultilevelPartitioner:
         self.machine = machine
         self.matcher = MATCHERS[matching]
         self.pressure_aware = pressure_aware
-        self.max_rounds = max_rounds
 
     # ------------------------------------------------------------------
     def partition(self, loop: Loop, ii: int) -> Partition:
@@ -96,7 +93,7 @@ class MultilevelPartitioner:
         weighting = compute_edge_weights(loop, ii, self.machine.bus_latency)
         hierarchy = build_hierarchy(weighting, self.machine.num_clusters, self.matcher)
         estimator = self._make_estimator(loop, ii)
-        refiner = Refiner(estimator, self.machine, max_rounds=self.max_rounds)
+        refiner = Refiner(estimator, self.machine)
 
         groups = self._initial_assignment(hierarchy.coarsest())
         for level_index in range(hierarchy.num_levels - 1, -1, -1):

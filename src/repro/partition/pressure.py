@@ -437,14 +437,16 @@ class PressureAwareEstimator(PartitionEstimator):
 
     # ------------------------------------------------------------------
     def estimate(self, assignment, bound=None, cluster_class_counts=None,
-                 comm_state=None):
-        # The pressure penalty only ever raises exec_time, so the base
-        # estimator's bound prune stays exact here.
+                 comm_state=None, tie_break=None):
+        # The pressure penalty only ever raises exec_time and leaves the
+        # tie-break fields alone, so the base estimator's bound and tie
+        # prunes (and the refiner's ncomm ceiling) stay exact here.
         base = super().estimate(
             assignment,
             bound=bound,
             cluster_class_counts=cluster_class_counts,
             comm_state=comm_state,
+            tie_break=tie_break,
         )
         if base is None:
             return None
@@ -459,9 +461,11 @@ class PressureAwareEstimator(PartitionEstimator):
             )
         return self._apply_penalty(base, excess)
 
-    def estimate_preview(self, preview, bound=None, cluster_class_counts=None):
+    def estimate_preview(self, preview, bound=None, cluster_class_counts=None,
+                         tie_break=None):
         base = super().estimate_preview(
-            preview, bound=bound, cluster_class_counts=cluster_class_counts
+            preview, bound=bound, cluster_class_counts=cluster_class_counts,
+            tie_break=tie_break,
         )
         if base is None:
             return None
